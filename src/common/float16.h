@@ -50,21 +50,11 @@ inline std::uint16_t f32_to_f16_bits(float value) {
     }
     return static_cast<std::uint16_t>(sign | 0x7C00u);
   }
-  if (abs >= 0x477FF000u) {
-    // Values >= 65520 round to +/-inf (65504 is the max finite half).
-    if (abs >= 0x477FF000u && abs < 0x47800000u) {
-      // Between 65504 + ulp/2 boundary: decide by rounding below.
-      // Fall through to the generic path which handles it via exponent
-      // arithmetic; the quick check above only filters the certain cases.
-    }
-    if (abs >= 0x47800000u) {
-      return static_cast<std::uint16_t>(sign | 0x7C00u);
-    }
-  }
-
   const int exp32 = static_cast<int>(abs >> 23);      // biased by 127
   const int exp16 = exp32 - 127 + 15;                 // biased by 15
 
+  // |x| >= 65536 overflows here; [65520, 65536) -- at least half an ulp
+  // above the max finite half, 65504 -- rounds up to infinity below.
   if (exp16 >= 0x1F) {  // overflow -> infinity
     return static_cast<std::uint16_t>(sign | 0x7C00u);
   }

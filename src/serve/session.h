@@ -261,12 +261,6 @@ class Session {
   // corresponding SessionOptions field overrides it.
   explicit Session(Cluster cluster, SessionOptions opts = {});
 
-  // Deprecated shims (docs/API.md): the pre-cluster constructors, kept
-  // for out-of-tree callers. Equivalent to Session(Cluster(...), opts);
-  // in-tree use is lint-guarded in CI like the PR-5 run_pool migration.
-  explicit Session(SessionOptions opts = {});
-  Session(ArchConfig arch, SessionOptions opts);
-
   // Graceful shutdown: cancels still-queued requests (futures fail with
   // Cancelled), completes in-flight work, joins the threads.
   ~Session();
@@ -304,9 +298,6 @@ class Session {
   void pause();
   void resume();
 
-  // The ingress device (device 0) -- where requests arrive and where
-  // unsharded launches run. Kept for the wide pre-cluster caller base.
-  Device& device() { return cluster_.device(0); }
   // The device cluster behind the session.
   Cluster& cluster() { return cluster_; }
   const Cluster& cluster() const { return cluster_; }

@@ -1,6 +1,7 @@
 #include "serve/trace.h"
 
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -26,6 +27,21 @@ std::int64_t parse_int(const std::string& v, std::size_t line,
     throw Error("trace line " + std::to_string(line) + ": bad integer '" +
                 v + "' for key '" + key + "'");
   }
+}
+
+// For the keys stored as int: rejects values a static_cast<int> would
+// silently truncate.
+int parse_int32(const std::string& v, std::size_t line,
+                const std::string& key) {
+  const std::int64_t out = parse_int(v, line, key);
+  if (out < std::numeric_limits<int>::min() ||
+      out > std::numeric_limits<int>::max()) {
+    throw Error("trace line " + std::to_string(line) + ": " + key + "=" + v +
+                " is outside the int range [" +
+                std::to_string(std::numeric_limits<int>::min()) + ", " +
+                std::to_string(std::numeric_limits<int>::max()) + "]");
+  }
+  return static_cast<int>(out);
 }
 
 PoolOpKind parse_kind(const std::string& v, std::size_t line) {
@@ -129,13 +145,13 @@ std::vector<TraceEntry> parse_trace(const std::string& text) {
       } else if (key == "merge") {
         e.op.merge = parse_merge(val, lineno);
       } else if (key == "x") {
-        e.repeat = static_cast<int>(parse_int(val, lineno, key));
+        e.repeat = parse_int32(val, lineno, key);
       } else if (key == "deadline_us") {
         e.deadline_us = parse_int(val, lineno, key);
       } else if (key == "prio") {
-        e.prio = static_cast<int>(parse_int(val, lineno, key));
+        e.prio = parse_int32(val, lineno, key);
       } else if (key == "shard") {
-        e.shard = static_cast<int>(parse_int(val, lineno, key));
+        e.shard = parse_int32(val, lineno, key);
       } else {
         throw Error("trace line " + std::to_string(lineno) +
                     ": unknown key '" + key + "'");

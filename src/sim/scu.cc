@@ -78,7 +78,8 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
         const std::int64_t y = oy * w.sh + xk - w.pt;
         if (y < 0 || y >= args.ih) {
           // Whole row falls in the zero-padding border.
-          std::memset(drow, 0, static_cast<std::size_t>(ow) * kRowBytes);
+          std::memset(static_cast<void*>(drow), 0,
+                      static_cast<std::size_t>(ow) * kRowBytes);
           drow += ow * kC0;
           continue;
         }
@@ -86,7 +87,7 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
         std::int64_t x = yk - w.pl;
         for (std::int64_t ox = 0; ox < ow; ++ox, x += w.sw, drow += kC0) {
           if (x < 0 || x >= args.iw) {
-            std::memset(drow, 0, kRowBytes);
+            std::memset(static_cast<void*>(drow), 0, kRowBytes);
           } else {
             std::memcpy(drow, srow + x * kC0, kRowBytes);
           }
@@ -94,7 +95,7 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
       }
       // Tail rows of the last fractal.
       if (padded > patches) {
-        std::memset(d + plane + patches * kC0, 0,
+        std::memset(static_cast<void*>(d + plane + patches * kC0), 0,
                     static_cast<std::size_t>(padded - patches) * kRowBytes);
       }
     }
@@ -166,7 +167,7 @@ void Scu::im2col_load_mode0(Span<Float16> dst, Span<Float16> src,
           Float16* const drow = d + fbase + r * kC0;
           std::int64_t y, x;
           if (p >= patches || !coords.source(p, xk, yk, &y, &x)) {
-            std::memset(drow, 0, kRowBytes);
+            std::memset(static_cast<void*>(drow), 0, kRowBytes);
             continue;
           }
           std::memcpy(drow, s + (y * args.iw + x) * kC0, kRowBytes);

@@ -13,6 +13,10 @@ namespace {
 
 using akg::PoolImpl;
 using kernels::MergeImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+using kernels::run_pool;
 
 class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -27,19 +31,26 @@ TEST_P(SeedSweep, FullOperatorSetAgrees) {
   const TensorF16 want_fwd = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col,
                         PoolImpl::kExpansion, PoolImpl::kXYSplit}) {
-    auto got = kernels::maxpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    auto got = run_pool(dev, op, PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want_fwd, akg::to_string(impl));
   }
 
   // Forward with mask (both), then backward (both) fed from each mask.
-  auto fd = kernels::maxpool_forward_with_mask(dev, in, w, PoolImpl::kDirect);
-  auto fi = kernels::maxpool_forward_with_mask(dev, in, w, PoolImpl::kIm2col);
+  PoolOp mask_op{.kind = PoolOpKind::kMaxMaskFwd, .window = w};
+  mask_op.fwd = PoolImpl::kDirect;
+  auto fd = run_pool(dev, mask_op, PoolInputs{.in = &in});
+  mask_op.fwd = PoolImpl::kIm2col;
+  auto fi = run_pool(dev, mask_op, PoolInputs{.in = &in});
   TensorF16 grad(Shape{1, 2, w.out_h(h), w.out_w(iw), kC0});
   grad.fill_random_ints(seed ^ 0x9E3779B9u, 0, 6);
   const TensorF16 want_bwd = ref::maxpool_bwd(fi.mask, grad, w, h, iw);
   for (MergeImpl m : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto a = kernels::maxpool_backward(dev, fd.mask, grad, w, h, iw, m);
-    auto b = kernels::maxpool_backward(dev, fi.mask, grad, w, h, iw, m);
+    const PoolOp op{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = m};
+    auto a = run_pool(dev, op, PoolInputs{.mask = &fd.mask, .grad = &grad,
+                                          .ih = h, .iw = iw});
+    auto b = run_pool(dev, op, PoolInputs{.mask = &fi.mask, .grad = &grad,
+                                          .ih = h, .iw = iw});
     testutil::expect_equal_f16(a.grad_in, want_bwd, "bwd from direct mask");
     testutil::expect_equal_f16(b.grad_in, want_bwd, "bwd from im2col mask");
   }
@@ -47,19 +58,25 @@ TEST_P(SeedSweep, FullOperatorSetAgrees) {
   // AvgPool forward and backward.
   const TensorF16 want_avg = ref::avgpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col}) {
-    auto got = kernels::avgpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kAvgFwd, .window = w, .fwd = impl};
+    auto got = run_pool(dev, op, PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want_avg, "avg fwd");
   }
   const TensorF16 want_avgb = ref::avgpool_bwd(grad, w, h, iw);
   for (MergeImpl m : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto got = kernels::avgpool_backward(dev, grad, w, h, iw, m);
+    const PoolOp op{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = m};
+    auto got = run_pool(dev, op, PoolInputs{.grad = &grad, .ih = h, .iw = iw});
     testutil::expect_equal_f16(got.grad_in, want_avgb, "avg bwd");
   }
 
   // MinPool and global average pooling.
-  auto mn = kernels::minpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto mn = run_pool(dev,
+                     PoolOp{.kind = PoolOpKind::kMinFwd, .window = w,
+                            .fwd = PoolImpl::kIm2col},
+                     PoolInputs{.in = &in});
   testutil::expect_equal_f16(mn.out, ref::minpool_fwd(in, w), "min");
-  auto gap = kernels::global_avgpool(dev, in);
+  auto gap = run_pool(dev, PoolOp{.kind = PoolOpKind::kGlobalAvg},
+                      PoolInputs{.in = &in});
   testutil::expect_equal_f16(gap.out, ref::global_avgpool(in), "gap");
 }
 

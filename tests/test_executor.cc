@@ -14,6 +14,11 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+using kernels::run_pool;
+
 TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
   WorkStealingPool pool;
   std::vector<std::atomic<int>> hits(64);
@@ -75,8 +80,10 @@ TEST(WorkStealingPool, DeviceKernelMatchesSerialHostExecution) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 8, 64, 64, 301);
   const Window2d w = Window2d::pool(3, 2);
-  auto par = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
-  auto ser = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w,
+                  .fwd = akg::PoolImpl::kIm2col};
+  auto par = run_pool(dev, op, PoolInputs{.in = &in});
+  auto ser = run_pool(dev, op, PoolInputs{.in = &in});
   EXPECT_EQ(par.run.device_cycles, ser.run.device_cycles);
   EXPECT_EQ(par.run.device_cycles_serial, ser.run.device_cycles_serial);
   testutil::expect_equal_f16(par.out, ser.out, "repeat run");

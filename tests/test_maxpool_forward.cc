@@ -11,7 +11,10 @@ namespace davinci {
 namespace {
 
 using akg::PoolImpl;
-using kernels::maxpool_forward;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+using kernels::run_pool;
 
 constexpr PoolImpl kAllImpls[] = {PoolImpl::kDirect, PoolImpl::kIm2col,
                                   PoolImpl::kExpansion, PoolImpl::kXYSplit};
@@ -20,7 +23,8 @@ void check_all_impls(const TensorF16& in, const Window2d& w) {
   Device dev;
   const TensorF16 want = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : kAllImpls) {
-    auto got = maxpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    auto got = run_pool(dev, op, PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
     EXPECT_GT(got.cycles(), 0);
   }
@@ -77,7 +81,8 @@ TEST(MaxpoolForward, LargeInputRequiresTiling) {
   const Window2d w = Window2d::pool(3, 2);
   const TensorF16 want = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col}) {
-    auto got = maxpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    auto got = run_pool(dev, op, PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
 }
@@ -88,7 +93,10 @@ TEST(MaxpoolForward, Im2colSupportsPadding) {
   w.pt = w.pb = w.pl = w.pr = 1;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 11, 11, 110);
   const TensorF16 want = ref::maxpool_fwd(in, w);
-  auto got = maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = run_pool(dev,
+                      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                             .fwd = PoolImpl::kIm2col},
+                      PoolInputs{.in = &in});
   testutil::expect_equal_f16(got.out, want, "im2col padded");
 }
 
@@ -98,7 +106,10 @@ TEST(MaxpoolForward, PaddedAndTiled) {
   w.pt = w.pb = 1;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 145, 145, 111);
   const TensorF16 want = ref::maxpool_fwd(in, w);
-  auto got = maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = run_pool(dev,
+                      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                             .fwd = PoolImpl::kIm2col},
+                      PoolInputs{.in = &in});
   testutil::expect_equal_f16(got.out, want, "im2col padded tiled");
 }
 
@@ -107,9 +118,12 @@ TEST(MaxpoolForward, DirectRejectsPadding) {
   Window2d w = Window2d::pool(3, 2);
   w.pt = 1;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 9, 9, 112);
-  EXPECT_THROW(maxpool_forward(dev, in, w, PoolImpl::kDirect), Error);
-  EXPECT_THROW(maxpool_forward(dev, in, w, PoolImpl::kExpansion), Error);
-  EXPECT_THROW(maxpool_forward(dev, in, w, PoolImpl::kXYSplit), Error);
+  for (PoolImpl impl :
+       {PoolImpl::kDirect, PoolImpl::kExpansion, PoolImpl::kXYSplit}) {
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    EXPECT_THROW(run_pool(dev, op, PoolInputs{.in = &in}), Error)
+        << akg::to_string(impl);
+  }
 }
 
 TEST(MaxpoolForward, FloatDataAlsoExact) {
@@ -119,7 +133,8 @@ TEST(MaxpoolForward, FloatDataAlsoExact) {
   const Window2d w = Window2d::pool(3, 2);
   const TensorF16 want = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : kAllImpls) {
-    auto got = maxpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    auto got = run_pool(dev, op, PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
 }
@@ -129,9 +144,12 @@ TEST(MaxpoolForward, Im2colBeatsDirectAtStride2) {
   // layout, the Im2Col-based kernel wins.
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 35, 35, 114);
-  const Window2d w = Window2d::pool(3, 2);
-  auto direct = maxpool_forward(dev, in, w, PoolImpl::kDirect);
-  auto im2col = maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  const PoolInputs inputs{.in = &in};
+  PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2)};
+  op.fwd = PoolImpl::kDirect;
+  auto direct = run_pool(dev, op, inputs);
+  op.fwd = PoolImpl::kIm2col;
+  auto im2col = run_pool(dev, op, inputs);
   EXPECT_LT(im2col.cycles(), direct.cycles());
 }
 
@@ -140,10 +158,14 @@ TEST(MaxpoolForward, DirectWinsAtStride1) {
   // pays no transformation, so it is fastest.
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 27, 27, 115);
-  const Window2d w = Window2d::pool(3, 1);
-  auto direct = maxpool_forward(dev, in, w, PoolImpl::kDirect);
-  auto im2col = maxpool_forward(dev, in, w, PoolImpl::kIm2col);
-  auto expansion = maxpool_forward(dev, in, w, PoolImpl::kExpansion);
+  const PoolInputs inputs{.in = &in};
+  PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 1)};
+  op.fwd = PoolImpl::kDirect;
+  auto direct = run_pool(dev, op, inputs);
+  op.fwd = PoolImpl::kIm2col;
+  auto im2col = run_pool(dev, op, inputs);
+  op.fwd = PoolImpl::kExpansion;
+  auto expansion = run_pool(dev, op, inputs);
   EXPECT_LT(direct.cycles(), im2col.cycles());
   EXPECT_LT(direct.cycles(), expansion.cycles());
 }
@@ -153,9 +175,12 @@ TEST(MaxpoolForward, LaneUtilizationExplainsTheWin) {
   // C0 = 16 of 128 lanes; the im2col kernel saturates the mask.
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 33, 33, 116);
-  const Window2d w = Window2d::pool(3, 2);
-  auto direct = maxpool_forward(dev, in, w, PoolImpl::kDirect);
-  auto im2col = maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  const PoolInputs inputs{.in = &in};
+  PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2)};
+  op.fwd = PoolImpl::kDirect;
+  auto direct = run_pool(dev, op, inputs);
+  op.fwd = PoolImpl::kIm2col;
+  auto im2col = run_pool(dev, op, inputs);
   EXPECT_LT(direct.run.aggregate.lane_utilization(), 0.3);
   EXPECT_GT(im2col.run.aggregate.lane_utilization(), 0.9);
   // And the instruction count collapses from ~Oh*Ow*Kh to ~Kh*Kw.
@@ -167,9 +192,11 @@ TEST(MaxpoolForward, C1ParallelizesAcrossCores) {
   Device dev;
   const TensorF16 in1 = testutil::random_int_nc1hwc0(1, 1, 21, 21, 117);
   const TensorF16 in8 = testutil::random_int_nc1hwc0(1, 8, 21, 21, 117);
-  const Window2d w = Window2d::pool(3, 2);
-  auto r1 = maxpool_forward(dev, in1, w, PoolImpl::kIm2col);
-  auto r8 = maxpool_forward(dev, in8, w, PoolImpl::kIm2col);
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd,
+                  .window = Window2d::pool(3, 2),
+                  .fwd = PoolImpl::kIm2col};
+  auto r1 = run_pool(dev, op, PoolInputs{.in = &in1});
+  auto r8 = run_pool(dev, op, PoolInputs{.in = &in8});
   // 8 slices on 8 cores: device time grows far less than 8x.
   EXPECT_LT(r8.cycles(), 2 * r1.cycles());
   EXPECT_EQ(r8.run.cores_used, 8);
@@ -178,8 +205,11 @@ TEST(MaxpoolForward, C1ParallelizesAcrossCores) {
 TEST(MaxpoolForward, RejectsNonFractalInput) {
   Device dev;
   TensorF16 bad(Shape{4, 4});
-  EXPECT_THROW(maxpool_forward(dev, bad, Window2d::pool(2, 2),
-                               PoolImpl::kDirect),
+  EXPECT_THROW(run_pool(dev,
+                        PoolOp{.kind = PoolOpKind::kMaxFwd,
+                               .window = Window2d::pool(2, 2),
+                               .fwd = PoolImpl::kDirect},
+                        PoolInputs{.in = &bad}),
                Error);
 }
 

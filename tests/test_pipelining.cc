@@ -16,6 +16,10 @@ namespace {
 
 using akg::PoolImpl;
 using kernels::MergeImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+using kernels::run_pool;
 
 constexpr PoolImpl kAllImpls[] = {PoolImpl::kDirect, PoolImpl::kIm2col,
                                   PoolImpl::kExpansion, PoolImpl::kXYSplit};
@@ -32,7 +36,8 @@ TEST(Pipelining, SandwichBoundAllForwardImpls) {
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 64, 64, 201);
   const Window2d w = Window2d::pool(3, 2);
   for (PoolImpl impl : kAllImpls) {
-    auto r = kernels::maxpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    auto r = run_pool(dev, op, PoolInputs{.in = &in});
     expect_sandwich(r.run, akg::to_string(impl));
   }
 }
@@ -44,10 +49,16 @@ TEST(Pipelining, SandwichBoundBothBackwardMerges) {
   const TensorF16 mask = ref::maxpool_argmax_mask(in, w);
   TensorF16 grad(Shape{1, 2, w.out_h(64), w.out_w(64), kC0});
   grad.fill_random_ints(203, 0, 5);
+  const PoolInputs max_in{.mask = &mask, .grad = &grad, .ih = 64, .iw = 64};
+  const PoolInputs avg_in{.grad = &grad, .ih = 64, .iw = 64};
   for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto mr = kernels::maxpool_backward(dev, mask, grad, w, 64, 64, merge);
+    const PoolOp max_bwd{.kind = PoolOpKind::kMaxBwd, .window = w,
+                         .merge = merge};
+    const PoolOp avg_bwd{.kind = PoolOpKind::kAvgBwd, .window = w,
+                         .merge = merge};
+    auto mr = run_pool(dev, max_bwd, max_in);
     expect_sandwich(mr.run, kernels::to_string(merge));
-    auto ar = kernels::avgpool_backward(dev, grad, w, 64, 64, merge);
+    auto ar = run_pool(dev, avg_bwd, avg_in);
     expect_sandwich(ar.run, kernels::to_string(merge));
   }
 }
@@ -60,18 +71,25 @@ TEST(Pipelining, SingleBufferEqualsSerial) {
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 64, 64, 204);
   const Window2d w = Window2d::pool(3, 2);
   for (PoolImpl impl : kAllImpls) {
-    auto r = kernels::maxpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    auto r = run_pool(dev, op, PoolInputs{.in = &in});
     EXPECT_EQ(r.run.device_cycles, r.run.device_cycles_serial)
         << akg::to_string(impl);
   }
   const TensorF16 mask = ref::maxpool_argmax_mask(in, w);
   TensorF16 grad(Shape{1, 2, w.out_h(64), w.out_w(64), kC0});
   grad.fill_random_ints(205, 0, 5);
+  const PoolInputs max_in{.mask = &mask, .grad = &grad, .ih = 64, .iw = 64};
+  const PoolInputs avg_in{.grad = &grad, .ih = 64, .iw = 64};
   for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto mr = kernels::maxpool_backward(dev, mask, grad, w, 64, 64, merge);
+    const PoolOp max_bwd{.kind = PoolOpKind::kMaxBwd, .window = w,
+                         .merge = merge};
+    const PoolOp avg_bwd{.kind = PoolOpKind::kAvgBwd, .window = w,
+                         .merge = merge};
+    auto mr = run_pool(dev, max_bwd, max_in);
     EXPECT_EQ(mr.run.device_cycles, mr.run.device_cycles_serial)
         << kernels::to_string(merge);
-    auto ar = kernels::avgpool_backward(dev, grad, w, 64, 64, merge);
+    auto ar = run_pool(dev, avg_bwd, avg_in);
     EXPECT_EQ(ar.run.device_cycles, ar.run.device_cycles_serial)
         << kernels::to_string(merge);
   }
@@ -84,8 +102,9 @@ TEST(Pipelining, ForwardOutputsBitIdenticalDoubleBufferedVsSerial) {
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 64, 64, 206);
   const Window2d w = Window2d::pool(3, 2);
   for (PoolImpl impl : kAllImpls) {
-    auto got = kernels::maxpool_forward(db_dev, in, w, impl);
-    auto want = kernels::maxpool_forward(sb_dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    auto got = run_pool(db_dev, op, PoolInputs{.in = &in});
+    auto want = run_pool(sb_dev, op, PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want.out, akg::to_string(impl));
   }
 }
@@ -99,13 +118,19 @@ TEST(Pipelining, BackwardOutputsBitIdenticalDoubleBufferedVsSerial) {
   const TensorF16 mask = ref::maxpool_argmax_mask(in, w);
   TensorF16 grad(Shape{1, 2, w.out_h(64), w.out_w(64), kC0});
   grad.fill_random_ints(208, 0, 5);
+  const PoolInputs max_in{.mask = &mask, .grad = &grad, .ih = 64, .iw = 64};
+  const PoolInputs avg_in{.grad = &grad, .ih = 64, .iw = 64};
   for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto gm = kernels::maxpool_backward(db_dev, mask, grad, w, 64, 64, merge);
-    auto wm = kernels::maxpool_backward(sb_dev, mask, grad, w, 64, 64, merge);
+    const PoolOp max_bwd{.kind = PoolOpKind::kMaxBwd, .window = w,
+                         .merge = merge};
+    const PoolOp avg_bwd{.kind = PoolOpKind::kAvgBwd, .window = w,
+                         .merge = merge};
+    auto gm = run_pool(db_dev, max_bwd, max_in);
+    auto wm = run_pool(sb_dev, max_bwd, max_in);
     testutil::expect_equal_f16(gm.grad_in, wm.grad_in,
                                kernels::to_string(merge));
-    auto ga = kernels::avgpool_backward(db_dev, grad, w, 64, 64, merge);
-    auto wa = kernels::avgpool_backward(sb_dev, grad, w, 64, 64, merge);
+    auto ga = run_pool(db_dev, avg_bwd, avg_in);
+    auto wa = run_pool(sb_dev, avg_bwd, avg_in);
     testutil::expect_equal_f16(ga.grad_in, wa.grad_in,
                                kernels::to_string(merge));
   }
@@ -121,7 +146,8 @@ TEST(Pipelining, SeamKernelsStillMatchReference) {
   TensorF16 grad(Shape{1, 1, w.out_h(95), w.out_w(95), kC0});
   grad.fill_random_ints(209, 0, 5);
   for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto got = kernels::avgpool_backward(dev, grad, w, 95, 95, merge);
+    const PoolOp op{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = merge};
+    auto got = run_pool(dev, op, PoolInputs{.grad = &grad, .ih = 95, .iw = 95});
     const TensorF16 want = ref::avgpool_bwd(grad, w, 95, 95);
     testutil::expect_equal_f16(got.grad_in, want, kernels::to_string(merge));
   }
@@ -134,7 +160,10 @@ TEST(Pipelining, InceptionShapeIm2colOverlapsStrictly) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 18, 35, 35, 210);
   const Window2d w = Window2d::pool(3, 2);
-  auto r = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto r = run_pool(dev,
+                    PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                           .fwd = PoolImpl::kIm2col},
+                    PoolInputs{.in = &in});
   EXPECT_LT(r.run.device_cycles, r.run.device_cycles_serial);
   EXPECT_GE(r.run.device_cycles, r.run.busiest_unit_cycles);
   // And the result is still bit-exact.
@@ -165,9 +194,11 @@ TEST(Pipelining, DoubleBufferOffMatchesLegacyCycleCounts) {
   Device b;
   b.set_double_buffer(false);
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 3, 40, 40, 211);
-  const Window2d w = Window2d::pool(3, 2);
-  auto ra = kernels::maxpool_forward(a, in, w, PoolImpl::kIm2col);
-  auto rb = kernels::maxpool_forward(b, in, w, PoolImpl::kIm2col);
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd,
+                  .window = Window2d::pool(3, 2),
+                  .fwd = PoolImpl::kIm2col};
+  auto ra = run_pool(a, op, PoolInputs{.in = &in});
+  auto rb = run_pool(b, op, PoolInputs{.in = &in});
   EXPECT_EQ(ra.run.device_cycles, rb.run.device_cycles);
   EXPECT_EQ(ra.run.device_cycles_serial, rb.run.device_cycles_serial);
 }

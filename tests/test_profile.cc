@@ -18,6 +18,11 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+using kernels::run_pool;
+
 // --- Minimal JSON syntax checker (no external deps) -----------------------
 // Validates the full grammar the exporter can emit: objects, arrays,
 // strings with escapes, numbers, true/false/null. Returns true iff `text`
@@ -176,17 +181,17 @@ TensorF16 inception_input() {
 TEST(Profile, DirectStarvesLanesIm2colSaturatesThem) {
   Device dev;
   const TensorF16 in = inception_input();
-  const Window2d window = Window2d::pool(3, 2);
+  PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2)};
 
-  auto direct =
-      kernels::maxpool_forward(dev, in, window, akg::PoolImpl::kDirect);
+  op.fwd = akg::PoolImpl::kDirect;
+  auto direct = run_pool(dev, op, PoolInputs{.in = &in});
   EXPECT_GT(direct.run.profile.vec.instrs, 0);
   EXPECT_LE(direct.run.profile.vec_lane_utilization(), 0.2);
   // A handful of full-mask setup instructions aside, nothing saturates.
   EXPECT_LE(direct.run.profile.vec.saturation(), 0.01);
 
-  auto im2col =
-      kernels::maxpool_forward(dev, in, window, akg::PoolImpl::kIm2col);
+  op.fwd = akg::PoolImpl::kIm2col;
+  auto im2col = run_pool(dev, op, PoolInputs{.in = &in});
   EXPECT_GT(im2col.run.profile.vec.instrs, 0);
   EXPECT_GE(im2col.run.profile.vec_lane_utilization(), 0.9);
   EXPECT_GE(im2col.run.profile.vec.saturation(), 0.9);
@@ -197,25 +202,29 @@ TEST(Profile, DirectStarvesLanesIm2colSaturatesThem) {
 
 TEST(Profile, RecordedWithoutTracingEnabled) {
   Device dev;  // no core(i).trace().enable() anywhere
-  auto r = kernels::maxpool_forward(dev, inception_input(),
-                                    Window2d::pool(3, 2),
-                                    akg::PoolImpl::kIm2col);
+  const TensorF16 in = inception_input();
+  auto r = run_pool(dev,
+                    PoolOp{.kind = PoolOpKind::kMaxFwd,
+                           .window = Window2d::pool(3, 2),
+                           .fwd = akg::PoolImpl::kIm2col},
+                    PoolInputs{.in = &in});
   EXPECT_GT(r.run.profile.vec.instrs, 0);
   EXPECT_GT(r.run.profile.mte.instrs, 0);
 }
 
 TEST(Profile, FaultFreeResilientRunMatchesPlainRun) {
   const TensorF16 in = inception_input();
-  const Window2d window = Window2d::pool(3, 2);
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd,
+                  .window = Window2d::pool(3, 2),
+                  .fwd = akg::PoolImpl::kIm2col};
 
   Device plain;
-  auto a = kernels::maxpool_forward(plain, in, window, akg::PoolImpl::kIm2col);
+  auto a = run_pool(plain, op, PoolInputs{.in = &in});
 
   Device resilient;
   ResilienceOptions opts;  // empty plan, verification off
   resilient.set_resilience(opts);
-  auto b = kernels::maxpool_forward(resilient, in, window,
-                                    akg::PoolImpl::kIm2col);
+  auto b = run_pool(resilient, op, PoolInputs{.in = &in});
 
   EXPECT_EQ(a.run.device_cycles, b.run.device_cycles);
   EXPECT_EQ(a.run.profile.vec.instrs, b.run.profile.vec.instrs);
@@ -226,8 +235,11 @@ TEST(Profile, FaultFreeResilientRunMatchesPlainRun) {
 TEST(ChromeTrace, ExportIsWellFormedJsonWithPerCoreTracks) {
   Device dev;
   for (int c = 0; c < dev.num_cores(); ++c) dev.core(c).trace().enable();
-  kernels::maxpool_forward(dev, inception_input(), Window2d::pool(3, 2),
-                           akg::PoolImpl::kIm2col);
+  const TensorF16 in = inception_input();
+  run_pool(dev,
+           PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+                  .fwd = akg::PoolImpl::kIm2col},
+           PoolInputs{.in = &in});
 
   const std::string json = chrome_trace_json(dev);
   EXPECT_TRUE(JsonChecker(json).valid());

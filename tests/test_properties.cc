@@ -14,6 +14,10 @@ namespace {
 
 using akg::PoolImpl;
 using kernels::MergeImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+using kernels::run_pool;
 
 struct PoolConfig {
   std::int64_t h, w, kh, kw, sh, sw, n, c1;
@@ -66,7 +70,8 @@ TEST_P(PoolProperty, AllForwardImplsAgree) {
   const TensorF16 want = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col,
                         PoolImpl::kExpansion, PoolImpl::kXYSplit}) {
-    auto got = kernels::maxpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    auto got = run_pool(dev, op, PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
 }
@@ -114,10 +119,12 @@ TEST_P(PoolProperty, BackwardImplsAgree) {
   TensorF16 grad(Shape{c.n, c.c1, w.out_h(c.h), w.out_w(c.w), kC0});
   grad.fill_random_ints(c.seed + 14, 0, 6);
   const TensorF16 want = ref::maxpool_bwd(mask, grad, w, c.h, c.w);
-  auto vadd =
-      kernels::maxpool_backward(dev, mask, grad, w, c.h, c.w, MergeImpl::kVadd);
-  auto col2im = kernels::maxpool_backward(dev, mask, grad, w, c.h, c.w,
-                                          MergeImpl::kCol2im);
+  const PoolInputs inputs{.mask = &mask, .grad = &grad, .ih = c.h, .iw = c.w};
+  PoolOp op{.kind = PoolOpKind::kMaxBwd, .window = w};
+  op.merge = MergeImpl::kVadd;
+  auto vadd = run_pool(dev, op, inputs);
+  op.merge = MergeImpl::kCol2im;
+  auto col2im = run_pool(dev, op, inputs);
   testutil::expect_equal_f16(vadd.grad_in, want, "vadd");
   testutil::expect_equal_f16(col2im.grad_in, want, "col2im");
 }
@@ -151,14 +158,17 @@ TEST_P(PoolProperty, AvgpoolImplsAgree) {
   const Window2d w = c.window();
   const TensorF16 want = ref::avgpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col}) {
-    auto got = kernels::avgpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kAvgFwd, .window = w, .fwd = impl};
+    auto got = run_pool(dev, op, PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
   TensorF16 grad(Shape{c.n, c.c1, w.out_h(c.h), w.out_w(c.w), kC0});
   grad.fill_random_ints(c.seed + 32, -6, 6);
   const TensorF16 want_b = ref::avgpool_bwd(grad, w, c.h, c.w);
   for (MergeImpl m : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto got = kernels::avgpool_backward(dev, grad, w, c.h, c.w, m);
+    const PoolOp op{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = m};
+    auto got =
+        run_pool(dev, op, PoolInputs{.grad = &grad, .ih = c.h, .iw = c.w});
     testutil::expect_equal_f16(got.grad_in, want_b, kernels::to_string(m));
   }
 }

@@ -16,6 +16,11 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+using kernels::run_pool;
+
 TensorF16 make_input(std::int64_t h, std::int64_t w, std::int64_t c,
                      int seed = 1) {
   TensorF16 in(Shape{1, c1_of(c), h, w, kC0});
@@ -105,14 +110,16 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
 
 TEST(Resilience, EmptyPlanMatchesPlainRunExactly) {
   const TensorF16 in = make_input(32, 32, 192);
-  const Window2d w = Window2d::pool(3, 2);
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd,
+                  .window = Window2d::pool(3, 2),
+                  .fwd = akg::PoolImpl::kIm2col};
 
   Device plain;
-  auto base = kernels::maxpool_forward(plain, in, w, akg::PoolImpl::kIm2col);
+  auto base = run_pool(plain, op, PoolInputs{.in = &in});
 
   Device resilient;
   resilient.set_resilience(ResilienceOptions{});  // empty plan, no verify
-  auto r = kernels::maxpool_forward(resilient, in, w, akg::PoolImpl::kIm2col);
+  auto r = run_pool(resilient, op, PoolInputs{.in = &in});
 
   expect_bits_equal(base.out, r.out);
   EXPECT_EQ(base.run.device_cycles, r.run.device_cycles);
@@ -145,7 +152,10 @@ TEST(Resilience, SameSeedAndPlanReplaysIdentically) {
   auto run_once = [&]() {
     Device dev;
     dev.set_resilience(opts);
-    return kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+    return run_pool(dev,
+                    PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                           .fwd = akg::PoolImpl::kDirect},
+                    PoolInputs{.in = &in});
   };
   auto a = run_once();
   auto b = run_once();
@@ -167,7 +177,10 @@ TEST(Resilience, DifferentSeedsDrawDifferentFaults) {
     opts.max_retries = 8;
     opts.verify = true;
     dev.set_resilience(opts);
-    auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+    auto r = run_pool(dev,
+                      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                             .fwd = akg::PoolImpl::kDirect},
+                      PoolInputs{.in = &in});
     expect_bits_equal(r.out, ref::maxpool_fwd(in, w));
     return r.run.faults;
   };
@@ -187,14 +200,17 @@ TEST(Resilience, QuarantineRedistributesAndStaysBitExact) {
   const TensorF16 in = make_input(32, 32, 192);  // 12 blocks (C1 = 12)
   const Window2d w = Window2d::pool(3, 2);
 
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w,
+                  .fwd = akg::PoolImpl::kIm2col};
+
   Device plain;
-  auto base = kernels::maxpool_forward(plain, in, w, akg::PoolImpl::kIm2col);
+  auto base = run_pool(plain, op, PoolInputs{.in = &in});
 
   Device dev;
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("core_fail@1", 0);
   dev.set_resilience(opts);
-  auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
+  auto r = run_pool(dev, op, PoolInputs{.in = &in});
 
   expect_bits_equal(r.out, ref::maxpool_fwd(in, w));
   EXPECT_EQ(r.run.faults.cores_quarantined, 1);
@@ -214,7 +230,10 @@ TEST(Resilience, SerialAndParallelAgreeUnderQuarantine) {
     opts.plan = FaultPlan::parse("core_fail@3", 5);
     opts.parallel = parallel;
     dev.set_resilience(opts);
-    return kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+    return run_pool(dev,
+                    PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                           .fwd = akg::PoolImpl::kDirect},
+                    PoolInputs{.in = &in});
   };
   auto par = run_mode(true);
   auto ser = run_mode(false);
@@ -268,7 +287,10 @@ TEST(Resilience, RetryBudgetExhaustionFailsCleanly) {
   opts.plan = FaultPlan::parse("vec_fault:1", 0);  // every instruction faults
   opts.max_retries = 0;
   dev.set_resilience(opts);
-  EXPECT_THROW(kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect),
+  EXPECT_THROW(run_pool(dev,
+                        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                               .fwd = akg::PoolImpl::kDirect},
+                        PoolInputs{.in = &in}),
                RetryExhausted);
 }
 
@@ -303,7 +325,10 @@ TEST(Resilience, TransientFaultsAreRetriedToCompletion) {
   opts.plan = FaultPlan::parse("vec_fault:5e-4", 3);
   opts.max_retries = 8;
   dev.set_resilience(opts);
-  auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+  auto r = run_pool(dev,
+                    PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                           .fwd = akg::PoolImpl::kDirect},
+                    PoolInputs{.in = &in});
   expect_bits_equal(r.out, ref::maxpool_fwd(in, w));
   EXPECT_GE(r.run.faults.faults_detected, 1);
   EXPECT_GE(r.run.faults.retries, 1);
@@ -320,7 +345,10 @@ TEST(Resilience, MteDropsAreCaughtByVerification) {
   opts.max_retries = 8;
   opts.verify = true;
   dev.set_resilience(opts);
-  auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+  auto r = run_pool(dev,
+                    PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                           .fwd = akg::PoolImpl::kDirect},
+                    PoolInputs{.in = &in});
   expect_bits_equal(r.out, ref::maxpool_fwd(in, w));
   EXPECT_GE(r.run.faults.silent_injected, 1);
   // Every block ran at least one redundant verification execution.
@@ -336,7 +364,10 @@ TEST(Resilience, BitflipsAreCaughtByVerification) {
   opts.max_retries = 8;
   opts.verify = true;
   dev.set_resilience(opts);
-  auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+  auto r = run_pool(dev,
+                    PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                           .fwd = akg::PoolImpl::kDirect},
+                    PoolInputs{.in = &in});
   expect_bits_equal(r.out, ref::maxpool_fwd(in, w));
   EXPECT_GE(r.run.faults.silent_injected, 1);
 }

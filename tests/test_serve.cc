@@ -385,7 +385,7 @@ TEST(ServeResilience, BisectionIsolatesThePoisonedRequest) {
   }
   opts.resilience = res;
   Session session(Cluster(ClusterOptions{.arch = ArchConfig::ascend910()}), opts);
-  ASSERT_EQ(session.device().num_cores(), 32);
+  ASSERT_EQ(session.cluster().device(0).num_cores(), 32);
 
   const PoolOp op{.kind = PoolOpKind::kMaxFwd,
                   .window = Window2d::pool(3, 2),
@@ -602,6 +602,12 @@ TEST(ServeTrace, ParsesOpsGeometriesAndRepeats) {
   EXPECT_THROW(parse_trace("op=maxpool ih=9 iw=9 k=3 s=2 bogus=1\n"), Error);
   EXPECT_THROW(parse_trace("n=1 ih=9 iw=9\n"), Error);  // missing op=
   EXPECT_THROW(parse_trace("op=maxpool k=3 s=2\n"), Error);  // no geometry
+  // Counts beyond int range are rejected, not truncated (2^32 + 1 would
+  // otherwise read as x=1).
+  EXPECT_THROW(parse_trace("op=maxpool ih=9 iw=9 k=3 s=2 x=4294967297\n"),
+               Error);
+  EXPECT_THROW(parse_trace("op=maxpool ih=9 iw=9 k=3 s=2 x=3000000000\n"),
+               Error);
 }
 
 TEST(ServeTrace, DeadlineAndPriorityFieldsParse) {
@@ -638,6 +644,9 @@ TEST(ServeTrace, ShardFieldParses) {
   EXPECT_THROW(parse_trace("op=maxpool ih=9 iw=9 k=3 s=2 shard=-1\n"),
                Error);
   EXPECT_THROW(parse_trace("op=maxpool ih=9 iw=9 k=3 s=2 shard=-7\n"),
+               Error);
+  // 2^32 would truncate to a pin on device 0.
+  EXPECT_THROW(parse_trace("op=maxpool ih=9 iw=9 k=3 s=2 shard=4294967296\n"),
                Error);
 }
 

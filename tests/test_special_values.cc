@@ -12,6 +12,10 @@ namespace davinci {
 namespace {
 
 using akg::PoolImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+using kernels::run_pool;
 
 TEST(SpecialValues, AllNegativeInputUnpadded) {
   // Without padding the maximum of all-negative data stays negative; the
@@ -25,7 +29,8 @@ TEST(SpecialValues, AllNegativeInputUnpadded) {
   const Window2d w = Window2d::pool(3, 2);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col,
                         PoolImpl::kExpansion, PoolImpl::kXYSplit}) {
-    auto got = kernels::maxpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    auto got = run_pool(dev, op, PoolInputs{.in = &in});
     for (std::int64_t i = 0; i < got.out.size(); ++i) {
       EXPECT_LT(got.out.flat(i).to_float(), 0.0f) << akg::to_string(impl);
       EXPECT_GT(got.out.flat(i).to_float(), -102.0f);
@@ -42,7 +47,10 @@ TEST(SpecialValues, MaxFiniteValuesSurvive) {
           c) = Float16::max_finite();
   }
   const Window2d w = Window2d::pool(2, 2);
-  auto got = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = run_pool(dev,
+                      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                             .fwd = PoolImpl::kIm2col},
+                      PoolInputs{.in = &in});
   EXPECT_EQ(got.out
                 .at(std::int64_t{0}, std::int64_t{0}, std::int64_t{1},
                     std::int64_t{1}, std::int64_t{0})
@@ -81,7 +89,8 @@ TEST(SpecialValues, NanLosesAgainstNumbersInMax) {
   }
   const Window2d w = Window2d::pool(2, 2);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col}) {
-    auto got = kernels::maxpool_forward(dev, in, w, impl);
+    const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl};
+    auto got = run_pool(dev, op, PoolInputs{.in = &in});
     for (std::int64_t i = 0; i < got.out.size(); ++i) {
       EXPECT_FALSE(got.out.flat(i).is_nan()) << akg::to_string(impl);
       EXPECT_EQ(got.out.flat(i).to_float(), 2.0f);
@@ -96,7 +105,10 @@ TEST(SpecialValues, LargeMagnitudeAvgpoolSaturatesGracefully) {
   TensorF16 in(Shape{1, 1, 4, 4, kC0});
   in.fill(Float16::max_finite());
   const Window2d w = Window2d::pool(2, 2);
-  auto got = kernels::avgpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = run_pool(dev,
+                      PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w,
+                             .fwd = PoolImpl::kIm2col},
+                      PoolInputs{.in = &in});
   const TensorF16 want = ref::avgpool_fwd(in, w);
   testutil::expect_equal_f16(got.out, want, "saturating avgpool");
   EXPECT_TRUE(got.out.flat(0).is_inf());
@@ -112,7 +124,10 @@ TEST(SpecialValues, SubnormalInputsPreserved) {
           c) = tiny;
   }
   const Window2d w = Window2d::pool(2, 2);
-  auto got = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = run_pool(dev,
+                      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                             .fwd = PoolImpl::kIm2col},
+                      PoolInputs{.in = &in});
   EXPECT_EQ(got.out.flat(0).bits(), tiny.bits());
 }
 
@@ -124,8 +139,11 @@ TEST(SpecialValues, BackwardWithNegativeGradients) {
   TensorF16 grad(Shape{1, 1, 4, 4, kC0});
   grad.fill_random_ints(972, -8, -1);  // strictly negative
   const TensorF16 want = ref::maxpool_bwd(mask, grad, w, 9, 9);
-  auto got = kernels::maxpool_backward(dev, mask, grad, w, 9, 9,
-                                       kernels::MergeImpl::kCol2im);
+  auto got = run_pool(dev,
+                      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+                             .merge = kernels::MergeImpl::kCol2im},
+                      PoolInputs{.mask = &mask, .grad = &grad, .ih = 9,
+                                 .iw = 9});
   testutil::expect_equal_f16(got.grad_in, want, "negative gradients");
 }
 

@@ -11,6 +11,11 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+using kernels::run_pool;
+
 TEST(Trace, DisabledByDefaultAndRecordsNothing) {
   AiCore core(0, ArchConfig::ascend910(), CostModel::calibrated());
   auto a = core.ub().alloc<Float16>(128);
@@ -66,8 +71,11 @@ TEST(Trace, ExplainsTheListing1VsListing2Difference) {
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 9, 9, 5);
   const Window2d w = Window2d::pool(3, 2);
 
+  PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w};
+
   dev.core(0).trace().enable();
-  kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+  op.fwd = akg::PoolImpl::kDirect;
+  run_pool(dev, op, PoolInputs{.in = &in});
   std::int64_t direct_16lane = 0;
   for (const auto& e : dev.core(0).trace().events()) {
     if (e.kind == TraceKind::kVector &&
@@ -80,7 +88,8 @@ TEST(Trace, ExplainsTheListing1VsListing2Difference) {
   EXPECT_EQ(direct_16lane, 48);
 
   dev.core(0).trace().clear();
-  kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
+  op.fwd = akg::PoolImpl::kIm2col;
+  run_pool(dev, op, PoolInputs{.in = &in});
   std::int64_t im2col_vmax = 0, im2col_loads = 0;
   for (const auto& e : dev.core(0).trace().events()) {
     if (e.kind == TraceKind::kVector &&

@@ -460,7 +460,7 @@ int main(int argc, char** argv) {
         if (!added) {
           rep_cycles = r.cycles();
           registry.add(e.op.to_string() + " " + geom_string(e), r.run,
-                       session.device().arch());
+                       session.cluster().device(0).arch());
           added = true;
         }
       } catch (const serve::DeadlineExceeded& err) {
