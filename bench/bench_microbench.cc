@@ -20,7 +20,10 @@
 namespace davinci {
 namespace {
 
-void BM_VectorUnitFlatMax(benchmark::State& state) {
+// Host cost per unit: items are lanes for the vector benchmarks and
+// fractals for the SCU ones, so the items/s column reads directly as the
+// inverse of ns per lane or per fractal.
+void vector_flat(benchmark::State& state, VecOp op) {
   AiCore core(0, ArchConfig::ascend910(), CostModel::calibrated());
   const std::int64_t n = state.range(0);
   auto a = core.ub().alloc<Float16>(n);
@@ -29,13 +32,27 @@ void BM_VectorUnitFlatMax(benchmark::State& state) {
   core.vdup_flat(a, Float16(1.0f), n);
   core.vdup_flat(b, Float16(2.0f), n);
   for (auto _ : state) {
-    core.vbin_flat(VecOp::kMax, d, a, b, n);
+    core.vbin_flat(op, d, a, b, n);
     benchmark::DoNotOptimize(d.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
+
+void BM_VectorUnitFlatMax(benchmark::State& state) {
+  vector_flat(state, VecOp::kMax);
+}
+void BM_VectorUnitFlatAdd(benchmark::State& state) {
+  vector_flat(state, VecOp::kAdd);
+}
 // Three spans of the largest size must fit the 256 KiB Unified Buffer.
 BENCHMARK(BM_VectorUnitFlatMax)->Arg(1024)->Arg(16384)->Arg(40960);
+BENCHMARK(BM_VectorUnitFlatAdd)->Arg(1024)->Arg(16384)->Arg(40960);
+
+// Fractals one Im2Col load (or Col2Im merge) of `args` moves.
+std::int64_t fractals(const Im2colArgs& args) {
+  return args.output_elems() / kFractalElems;
+}
 
 void BM_Im2colLoad(benchmark::State& state) {
   AiCore core(0, ArchConfig::ascend910(), CostModel::calibrated());
@@ -49,8 +66,9 @@ void BM_Im2colLoad(benchmark::State& state) {
   for (auto _ : state) {
     core.scu().im2col_load(dst, src, args);
     benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * args.output_elems());
+  state.SetItemsProcessed(state.iterations() * fractals(args));
 }
 BENCHMARK(BM_Im2colLoad)->Arg(17)->Arg(33);
 
@@ -67,8 +85,9 @@ void BM_Col2im(benchmark::State& state) {
   for (auto _ : state) {
     core.scu().col2im(out, src, args);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * args.output_elems());
+  state.SetItemsProcessed(state.iterations() * fractals(args));
 }
 BENCHMARK(BM_Col2im)->Arg(17)->Arg(33);
 

@@ -11,6 +11,13 @@
 // a hardware FP16 ALU for the single operations used by the simulator
 // (max/min/add/sub/mul are correctly rounded this way; div too since
 // binary32 has more than 2x the precision of binary16).
+//
+// This header is the software definition: one value at a time, used by
+// the reference kernels in src/ref/ and by the simulator's scalar paths.
+// The simulator's bulk lanes (prefix-masked vector instructions, Col2Im
+// rows) run through common/f16_simd.h, whose AVX2/F16C kernels convert in
+// hardware (vcvtph2ps / vcvtps2ph) and are bit-identical to these
+// operators, NaN results included.
 #pragma once
 
 #include <cstdint>
@@ -115,10 +122,11 @@ inline float f16_bits_to_f32(std::uint16_t h) {
 }
 
 // Lazily-built 64K-entry half-bits -> binary32 table: one load replaces
-// the branchy software conversion inside bulk element loops (the
-// functional interpreter's vector/SCU inner loops). Entries match
-// f16_bits_to_f32 exactly by construction, so results are bit-identical
-// to the conversion path.
+// the branchy software conversion. Only the portable row kernels of
+// common/f16_simd.h use it -- the bulk-lane path on CPUs without
+// AVX2/F16C, and the reference the AVX2/F16C kernels are tested against.
+// Entries match f16_bits_to_f32 exactly by construction, so results are
+// bit-identical to the conversion path.
 inline const float* f16_to_f32_table() {
   static const float* const table = [] {
     float* t = new float[65536];
@@ -188,18 +196,28 @@ class Float16 {
     return a.to_float() >= b.to_float();
   }
 
+  // Rounds the binary32 result `r` of an arithmetic op whose first
+  // operand is `a`. A NaN `a` decides the result (sign | 0x7E00): x86
+  // propagates the first NaN operand, but a compiler may swap the operands
+  // of + and *, so the choice is pinned here. Other NaN results keep the
+  // sign the FPU gave them.
+  static Float16 op_result(float r, Float16 a) {
+    if (!a.is_nan()) return Float16(r);
+    return from_bits(static_cast<std::uint16_t>((a.bits_ & 0x8000u) | 0x7E00u));
+  }
+
   // Single correctly-rounded operations (round via binary32).
   friend Float16 operator+(Float16 a, Float16 b) {
-    return Float16(a.to_float() + b.to_float());
+    return op_result(a.to_float() + b.to_float(), a);
   }
   friend Float16 operator-(Float16 a, Float16 b) {
-    return Float16(a.to_float() - b.to_float());
+    return op_result(a.to_float() - b.to_float(), a);
   }
   friend Float16 operator*(Float16 a, Float16 b) {
-    return Float16(a.to_float() * b.to_float());
+    return op_result(a.to_float() * b.to_float(), a);
   }
   friend Float16 operator/(Float16 a, Float16 b) {
-    return Float16(a.to_float() / b.to_float());
+    return op_result(a.to_float() / b.to_float(), a);
   }
   friend Float16 operator-(Float16 a) {
     return from_bits(static_cast<std::uint16_t>(a.bits_ ^ 0x8000u));

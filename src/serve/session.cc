@@ -302,6 +302,14 @@ void Session::worker_loop() {
   }
 }
 
+void Session::alarm_if_overrun() {
+  const auto timeout = std::chrono::microseconds(opts_.watchdog_timeout_us);
+  if (alarmed_seq_ != launch_seq_ && Clock::now() - launch_start_ > timeout) {
+    alarmed_seq_ = launch_seq_;
+    stats_.watchdog_alarms += 1;
+  }
+}
+
 void Session::watchdog_loop() {
   const auto timeout = std::chrono::microseconds(opts_.watchdog_timeout_us);
   // Sample at least twice per budget, but never spin faster than 50us.
@@ -310,11 +318,7 @@ void Session::watchdog_loop() {
   while (!stop_) {
     cv_watchdog_.wait_for(lock, period);
     if (stop_) return;
-    if (launch_active_ && alarmed_seq_ != launch_seq_ &&
-        Clock::now() - launch_start_ > timeout) {
-      alarmed_seq_ = launch_seq_;
-      stats_.watchdog_alarms += 1;
-    }
+    if (launch_active_) alarm_if_overrun();
   }
 }
 
@@ -534,6 +538,9 @@ void Session::launch_members(std::vector<Pending>& taken,
     ~LaunchScope() {
       std::unique_lock<std::mutex> lock(s->mu_);
       s->launch_active_ = false;
+      // A launch that overran the budget but ended between two watchdog
+      // samples still counts.
+      if (s->opts_.watchdog_timeout_us > 0) s->alarm_if_overrun();
     }
   } scope{this};
 

@@ -354,6 +354,9 @@ class Session {
 
   void worker_loop();
   void watchdog_loop();
+  // Counts one watchdog alarm for the current launch once it has run past
+  // the budget. Caller holds mu_.
+  void alarm_if_overrun();
   void process(std::vector<Pending> taken);
   // Launches `members` (indices into `views`; views[j] belongs to
   // taken[taken_of[j]]) as one batch with placement hint `shard`,

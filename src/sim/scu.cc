@@ -1,6 +1,9 @@
 #include "sim/scu.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/f16_simd.h"
 
 namespace davinci {
 
@@ -221,34 +224,35 @@ void Scu::col2im(Span<Float16> out, Span<Float16> src, const Im2colArgs& args) {
   // Functional semantics (Figure 6): for each fractal, load the 16 target
   // positions from `out`, add the input fractal, store back. Overlapping
   // patches accumulate because execution is sequential; every add rounds
-  // to fp16 like the hardware's 16-bit vector adder. The raw-pointer loop
-  // keeps that exact per-element accumulation order (it is load-bearing
-  // for bit-identity); only the per-access bounds checks are hoisted into
-  // the size checks above.
+  // to fp16 like the hardware's 16-bit vector adder. The patch loop keeps
+  // that exact accumulation order (it is load-bearing for bit-identity);
+  // the row kernel adds each in-image C0 row, whose 16 lanes are
+  // independent, in the same (xk, yk, oy, ox) order. The per-access
+  // bounds checks are hoisted into the size checks above.
   Float16* const o = out.data();
   const Float16* const s = src.data();
-  const float* const cvt = detail::f16_to_f32_table();
   const std::int64_t ow = coords.ow;
   const std::int64_t oh = patches / ow;
   for (std::int64_t xk = 0; xk < w.kh; ++xk) {
     for (std::int64_t yk = 0; yk < w.kw; ++yk) {
-      const std::int64_t plane = (xk * w.kw + yk) * padded * kC0;
-      const Float16* srow = s + plane;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
+      // Patches [lo, hi) of every output row land inside the image
+      // (x = ox * sw + x0 in [0, iw)); each is one C0 row, in ox order.
+      const std::int64_t x0 = yk - w.pl;
+      const std::int64_t lo = x0 >= 0 ? 0 : ceil_div(-x0, w.sw);
+      const std::int64_t hi =
+          x0 < args.iw ? std::min(ow, ceil_div(args.iw - x0, w.sw)) : 0;
+      const Fp16Repeat rows{.rows = hi - lo,
+                            .d_stride = w.sw * kC0,
+                            .a_stride = w.sw * kC0,
+                            .b_stride = kC0};
+      const Float16* srow = s + (xk * w.kw + yk) * padded * kC0;
+      for (std::int64_t oy = 0; oy < oh; ++oy, srow += ow * kC0) {
         const std::int64_t y = oy * w.sh + xk - w.pt;
-        if (y < 0 || y >= args.ih) {
-          srow += ow * kC0;  // gradient into the padding border is dropped
-          continue;
-        }
-        Float16* const obase = o + y * args.iw * kC0;
-        std::int64_t x = yk - w.pl;
-        for (std::int64_t ox = 0; ox < ow; ++ox, x += w.sw, srow += kC0) {
-          if (x < 0 || x >= args.iw) continue;
-          Float16* const orow = obase + x * kC0;
-          for (std::int64_t c = 0; c < kC0; ++c) {
-            orow[c] = Float16(cvt[orow[c].bits()] + cvt[srow[c].bits()]);
-          }
-        }
+        // Gradient into the padding border is dropped.
+        if (y < 0 || y >= args.ih || lo >= hi) continue;
+        Float16* const orow = o + (y * args.iw + x0 + lo * w.sw) * kC0;
+        fp16_binary_row(Fp16RowOp::kAdd, orow, orow, srow + lo * kC0, kC0,
+                        rows);
       }
     }
   }

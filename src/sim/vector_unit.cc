@@ -1,9 +1,8 @@
 #include "sim/vector_unit.h"
 
 #include <bit>
-#include <map>
-#include <memory>
-#include <mutex>
+
+#include "common/f16_simd.h"
 
 namespace davinci {
 
@@ -105,51 +104,25 @@ inline int prefix_lanes(const VecMask& m) {
   return 64 + std::popcount(m.hi);
 }
 
-// Result table for a scalar-operand op: t[bits] is the half-precision
-// result of `cvt[bits] OP scalar`, precomputed with the same
-// convert-operate-round sequence as the element loop, so a table pick is
-// bit-identical to the direct computation. Serving replays issue the same
-// few scalars (1 / window-area and friends) across millions of elements,
-// so tables are cached process-wide; the cache is capped and callers fall
-// back to the direct loop when it fills (unbounded distinct scalars only
-// happen in synthetic tests).
-const std::uint16_t* scalar_op_table(char op, std::uint16_t scalar_bits) {
-  struct Key {
-    char op;
-    std::uint16_t bits;
-    bool operator<(const Key& o) const {
-      return op != o.op ? op < o.op : bits < o.bits;
-    }
-  };
-  static std::mutex mu;
-  static std::map<Key, std::unique_ptr<std::uint16_t[]>> cache;
-  // Per-thread memo of the last table: the hot path repeats one scalar,
-  // so most calls skip the lock entirely.
-  thread_local char memo_op = 0;
-  thread_local std::uint16_t memo_bits = 0;
-  thread_local const std::uint16_t* memo_table = nullptr;
-  if (memo_table != nullptr && memo_op == op && memo_bits == scalar_bits) {
-    return memo_table;
+// The row kernel for a prefix-masked op; vdiv has none and keeps its
+// scalar loop.
+Fp16RowOp row_op(VecOp op) {
+  switch (op) {
+    case VecOp::kMax: return Fp16RowOp::kMax;
+    case VecOp::kMin: return Fp16RowOp::kMin;
+    case VecOp::kAdd: return Fp16RowOp::kAdd;
+    case VecOp::kSub: return Fp16RowOp::kSub;
+    case VecOp::kMul: return Fp16RowOp::kMul;
+    case VecOp::kDiv: break;
   }
-  const Key key{op, scalar_bits};
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    constexpr std::size_t kMaxTables = 64;
-    if (cache.size() >= kMaxTables) return nullptr;
-    const float* const cvt = detail::f16_to_f32_table();
-    const float fs = cvt[scalar_bits];
-    auto t = std::make_unique<std::uint16_t[]>(65536);
-    for (std::uint32_t i = 0; i < 65536; ++i) {
-      const float r = op == '*' ? cvt[i] * fs : cvt[i] + fs;
-      t[i] = detail::f32_to_f16_bits(r);
-    }
-    it = cache.emplace(key, std::move(t)).first;
-  }
-  memo_op = op;
-  memo_bits = scalar_bits;
-  memo_table = it->second.get();
-  return memo_table;
+  DV_CHECK(false) << "no row kernel for " << to_string(op);
+  return Fp16RowOp::kAdd;
+}
+
+// A prefix-masked instruction's repeat iterations as row-kernel rows.
+Fp16Repeat rows_of(const VecConfig& cfg) {
+  return {cfg.repeat, cfg.dst_rep_stride, cfg.src0_rep_stride,
+          cfg.src1_rep_stride};
 }
 
 // One hoisted bounds check replacing the per-access Span::at checks of a
@@ -177,75 +150,16 @@ void VectorUnit::binary(VecOp op, Span<Float16> dst, Span<Float16> src0,
       check_extent(dst, cfg, cfg.dst_rep_stride, pfx);
       check_extent(src0, cfg, cfg.src0_rep_stride, pfx);
       check_extent(src1, cfg, cfg.src1_rep_stride, pfx);
-      Float16* const dp = dst.data();
-      const Float16* const ap = src0.data();
-      const Float16* const bp = src1.data();
-      // Unswitch the op out of the element loop and convert fp16 inputs
-      // through the table (bit-identical to the software conversion).
-      const float* const cvt = detail::f16_to_f32_table();
-      const auto run = [&](auto&& elem) {
+      if (op != VecOp::kDiv) {
+        fp16_binary_row(row_op(op), dst.data(), src0.data(), src1.data(), pfx,
+                        rows_of(cfg));
+      } else {
         for (int rep = 0; rep < cfg.repeat; ++rep) {
-          Float16* const d = dp + rep * cfg.dst_rep_stride;
-          const Float16* const a = ap + rep * cfg.src0_rep_stride;
-          const Float16* const b = bp + rep * cfg.src1_rep_stride;
-          for (int lane = 0; lane < pfx; ++lane) {
-            d[lane] = elem(a[lane], b[lane]);
-          }
+          Float16* const d = dst.data() + rep * cfg.dst_rep_stride;
+          const Float16* const a = src0.data() + rep * cfg.src0_rep_stride;
+          const Float16* const b = src1.data() + rep * cfg.src1_rep_stride;
+          for (int lane = 0; lane < pfx; ++lane) d[lane] = a[lane] / b[lane];
         }
-      };
-      // Max/min order in the bits domain: map the sign-magnitude half
-      // encoding to a signed key that is monotone in the float value and
-      // sends -0 and +0 to the same key, so the "first operand wins ties"
-      // outcome of the float compare is preserved bit-for-bit. The
-      // branchless key plus an integer select keeps the random-outcome
-      // compare off the branch predictor.
-      const auto order_key = [](std::uint16_t u) {
-        const std::int32_t mag = u & 0x7FFF;
-        const std::int32_t sgn =  // all ones when the sign bit is set
-            static_cast<std::int32_t>(static_cast<std::int16_t>(u)) >> 15;
-        return (mag ^ sgn) - sgn;
-      };
-      switch (op) {
-        case VecOp::kMax:
-          run([&](Float16 a, Float16 b) {
-            if (a.is_nan()) return b;
-            if (b.is_nan()) return a;
-            const std::uint16_t r =
-                order_key(a.bits()) >= order_key(b.bits()) ? a.bits()
-                                                           : b.bits();
-            return Float16::from_bits(r);
-          });
-          break;
-        case VecOp::kMin:
-          run([&](Float16 a, Float16 b) {
-            if (a.is_nan()) return b;
-            if (b.is_nan()) return a;
-            const std::uint16_t r =
-                order_key(a.bits()) <= order_key(b.bits()) ? a.bits()
-                                                           : b.bits();
-            return Float16::from_bits(r);
-          });
-          break;
-        case VecOp::kAdd:
-          run([&](Float16 a, Float16 b) {
-            return Float16(cvt[a.bits()] + cvt[b.bits()]);
-          });
-          break;
-        case VecOp::kSub:
-          run([&](Float16 a, Float16 b) {
-            return Float16(cvt[a.bits()] - cvt[b.bits()]);
-          });
-          break;
-        case VecOp::kMul:
-          run([&](Float16 a, Float16 b) {
-            return Float16(cvt[a.bits()] * cvt[b.bits()]);
-          });
-          break;
-        case VecOp::kDiv:
-          run([&](Float16 a, Float16 b) {
-            return Float16(cvt[a.bits()] / cvt[b.bits()]);
-          });
-          break;
       }
     }
   } else {
@@ -295,24 +209,8 @@ void VectorUnit::adds(Span<Float16> dst, Span<Float16> src, Float16 s,
     if (pfx > 0) {
       check_extent(dst, cfg, cfg.dst_rep_stride, pfx);
       check_extent(src, cfg, cfg.src0_rep_stride, pfx);
-      Float16* const dp = dst.data();
-      const Float16* const ap = src.data();
-      const std::uint16_t* const tab = scalar_op_table('+', s.bits());
-      const float* const cvt = detail::f16_to_f32_table();
-      const float fs = s.to_float();
-      for (int rep = 0; rep < cfg.repeat; ++rep) {
-        Float16* const d = dp + rep * cfg.dst_rep_stride;
-        const Float16* const a = ap + rep * cfg.src0_rep_stride;
-        if (tab != nullptr) {
-          for (int lane = 0; lane < pfx; ++lane) {
-            d[lane] = Float16::from_bits(tab[a[lane].bits()]);
-          }
-        } else {
-          for (int lane = 0; lane < pfx; ++lane) {
-            d[lane] = Float16(cvt[a[lane].bits()] + fs);
-          }
-        }
-      }
+      fp16_scalar_row(Fp16RowOp::kAdd, dst.data(), src.data(), s, pfx,
+                      rows_of(cfg));
     }
   } else {
     for (int rep = 0; rep < cfg.repeat; ++rep) {
@@ -336,24 +234,8 @@ void VectorUnit::muls(Span<Float16> dst, Span<Float16> src, Float16 s,
     if (pfx > 0) {
       check_extent(dst, cfg, cfg.dst_rep_stride, pfx);
       check_extent(src, cfg, cfg.src0_rep_stride, pfx);
-      Float16* const dp = dst.data();
-      const Float16* const ap = src.data();
-      const std::uint16_t* const tab = scalar_op_table('*', s.bits());
-      const float* const cvt = detail::f16_to_f32_table();
-      const float fs = s.to_float();
-      for (int rep = 0; rep < cfg.repeat; ++rep) {
-        Float16* const d = dp + rep * cfg.dst_rep_stride;
-        const Float16* const a = ap + rep * cfg.src0_rep_stride;
-        if (tab != nullptr) {
-          for (int lane = 0; lane < pfx; ++lane) {
-            d[lane] = Float16::from_bits(tab[a[lane].bits()]);
-          }
-        } else {
-          for (int lane = 0; lane < pfx; ++lane) {
-            d[lane] = Float16(cvt[a[lane].bits()] * fs);
-          }
-        }
-      }
+      fp16_scalar_row(Fp16RowOp::kMul, dst.data(), src.data(), s, pfx,
+                      rows_of(cfg));
     }
   } else {
     for (int rep = 0; rep < cfg.repeat; ++rep) {
@@ -381,17 +263,8 @@ void VectorUnit::cmpv_eq(Span<Float16> dst, Span<Float16> src0,
       check_extent(dst, cfg, cfg.dst_rep_stride, pfx);
       check_extent(src0, cfg, cfg.src0_rep_stride, pfx);
       check_extent(src1, cfg, cfg.src1_rep_stride, pfx);
-      Float16* const dp = dst.data();
-      const Float16* const ap = src0.data();
-      const Float16* const bp = src1.data();
-      for (int rep = 0; rep < cfg.repeat; ++rep) {
-        Float16* const d = dp + rep * cfg.dst_rep_stride;
-        const Float16* const a = ap + rep * cfg.src0_rep_stride;
-        const Float16* const b = bp + rep * cfg.src1_rep_stride;
-        for (int lane = 0; lane < pfx; ++lane) {
-          d[lane] = (a[lane] == b[lane]) ? one : zero;
-        }
-      }
+      fp16_binary_row(Fp16RowOp::kCmpEq, dst.data(), src0.data(), src1.data(),
+                      pfx, rows_of(cfg));
     }
   } else {
     for (int rep = 0; rep < cfg.repeat; ++rep) {

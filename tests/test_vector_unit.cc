@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <vector>
 
 #include "arch/arch_config.h"
 #include "arch/cost_model.h"
@@ -179,13 +180,15 @@ TEST_F(VectorUnitTest, OutOfBoundsActiveLaneThrows) {
   EXPECT_EQ(a.at(99).to_float(), 3.0f);
 }
 
-// The prefix-mask fast path orders vmax/vmin by a signed-magnitude bits
-// key instead of converting to float. Sweep a value set covering every
-// encoding class (zeros of both signs, subnormals, normals, infinities,
-// NaN) against the fmax16/fmin16 reference -- results must match
-// bit-for-bit, including the which-operand-wins tie rule for -0/+0 and
-// the "number wins" NaN rule.
-TEST_F(VectorUnitTest, MaxMinFastPathMatchesReferenceOnSpecialValues) {
+// The prefix-mask fast path runs on the fp16 row kernels (AVX2/F16C where
+// the CPU has them): vmax/vmin order by a signed-magnitude bits key,
+// arithmetic converts through binary32 in hardware. Sweep a value set
+// covering every encoding class (zeros of both signs, subnormals, normals,
+// infinities, NaN) through every row-kernel instruction against the
+// Float16 operators and fmax16/fmin16 -- results must match bit-for-bit,
+// including the which-operand-wins tie rule for -0/+0, the "number wins"
+// NaN rule, NaN canonicalization and -0 == +0 for vcmpv_eq.
+TEST_F(VectorUnitTest, FastPathMatchesReferenceOnSpecialValues) {
   const std::uint16_t specials[] = {
       0x0000, 0x8000,          // +0, -0
       0x0001, 0x8001, 0x03FF,  // subnormals
@@ -199,6 +202,7 @@ TEST_F(VectorUnitTest, MaxMinFastPathMatchesReferenceOnSpecialValues) {
   auto a = ub_.alloc<Float16>(128);
   auto b = ub_.alloc<Float16>(128);
   auto d = ub_.alloc<Float16>(128);
+  const VecConfig cfg = VecConfig::flat(1);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       const Float16 x = Float16::from_bits(specials[i]);
@@ -207,12 +211,74 @@ TEST_F(VectorUnitTest, MaxMinFastPathMatchesReferenceOnSpecialValues) {
         a.at(k) = x;
         b.at(k) = y;
       }
-      vec_.binary(VecOp::kMax, d, a, b, VecConfig::flat(1));
-      EXPECT_EQ(d.at(0).bits(), fmax16(x, y).bits())
-          << "vmax " << specials[i] << " vs " << specials[j];
-      vec_.binary(VecOp::kMin, d, a, b, VecConfig::flat(1));
-      EXPECT_EQ(d.at(0).bits(), fmin16(x, y).bits())
-          << "vmin " << specials[i] << " vs " << specials[j];
+      const auto expect_all = [&](Float16 want, const char* op) {
+        for (int k = 0; k < 128; ++k) {
+          ASSERT_EQ(d.at(k).bits(), want.bits())
+              << op << " " << specials[i] << " vs " << specials[j]
+              << " lane " << k;
+        }
+      };
+      vec_.binary(VecOp::kMax, d, a, b, cfg);
+      expect_all(fmax16(x, y), "vmax");
+      vec_.binary(VecOp::kMin, d, a, b, cfg);
+      expect_all(fmin16(x, y), "vmin");
+      vec_.binary(VecOp::kAdd, d, a, b, cfg);
+      expect_all(x + y, "vadd");
+      vec_.binary(VecOp::kSub, d, a, b, cfg);
+      expect_all(x - y, "vsub");
+      vec_.binary(VecOp::kMul, d, a, b, cfg);
+      expect_all(x * y, "vmul");
+      vec_.adds(d, a, y, cfg);
+      expect_all(x + y, "vadds");
+      vec_.muls(d, a, y, cfg);
+      expect_all(x * y, "vmuls");
+      vec_.cmpv_eq(d, a, b, cfg);
+      expect_all(Float16(x == y ? 1.0f : 0.0f), "vcmpv_eq");
+    }
+  }
+}
+
+// A destination that starts inside src0's row at a higher address reads
+// lanes the same instruction has already written; the unit must keep that
+// serial lane order. The read-ahead reduction idiom (dst == src0, src1
+// above dst) must match the same serial loop.
+TEST_F(VectorUnitTest, OverlappingOperandsKeepSerialLaneOrder) {
+  const auto fill = [](Span<Float16> s, float base) {
+    for (std::int64_t i = 0; i < s.size(); ++i) {
+      s.at(i) = Float16(base + static_cast<float>(i % 7) * 0.375f);
+    }
+  };
+  const auto copy = [](Span<Float16> s) {
+    std::vector<Float16> v(static_cast<std::size_t>(s.size()));
+    for (std::int64_t i = 0; i < s.size(); ++i) v[i] = s.at(i);
+    return v;
+  };
+  for (int k : {1, 8, 15}) {
+    auto x = ub_.alloc<Float16>(128 + k);
+    auto y = ub_.alloc<Float16>(128);
+    fill(x, 1.0f);
+    fill(y, 0.5f);
+    std::vector<Float16> want = copy(x);
+    for (int lane = 0; lane < 128; ++lane) {
+      want[k + lane] = want[lane] + y.at(lane);
+    }
+    vec_.binary(VecOp::kAdd, x.drop_front(k), x, y, VecConfig::flat(1));
+    for (int i = 0; i < 128 + k; ++i) {
+      ASSERT_EQ(x.at(i).bits(), want[i].bits()) << "k=" << k << " i=" << i;
+    }
+  }
+  for (int w : {64, 40}) {
+    auto acc = ub_.alloc<Float16>(128);
+    fill(acc, 2.0f);
+    std::vector<Float16> want = copy(acc);
+    for (int lane = 0; lane < w; ++lane) {
+      want[lane] = want[lane] + want[w + lane];
+    }
+    VecConfig cfg;
+    cfg.mask = VecMask::first_n(w);
+    vec_.binary(VecOp::kAdd, acc, acc, acc.drop_front(w), cfg);
+    for (int i = 0; i < 128; ++i) {
+      ASSERT_EQ(acc.at(i).bits(), want[i].bits()) << "w=" << w << " i=" << i;
     }
   }
 }
