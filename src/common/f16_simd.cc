@@ -91,6 +91,14 @@ void portable_scalar(Fp16RowOp op, Float16* d, const Float16* a, Float16 s,
   if (n > 0) portable_op<true>(op, d, a, &s, n, rep);
 }
 
+void portable_dup(Float16* d, Float16 s, std::int64_t n,
+                  const Fp16Repeat& rep) {
+  for (std::int64_t r = 0; r < rep.rows; ++r) {
+    Float16* const dr = d + r * rep.d_stride;
+    for (std::int64_t i = 0; i < n; ++i) dr[i] = s;
+  }
+}
+
 // True when d starts strictly inside [src, src + n): the serial loop then
 // reads lanes it has already written.
 bool starts_inside(const Float16* d, const Float16* src, std::int64_t n) {
@@ -231,9 +239,22 @@ void simd_scalar(Fp16RowOp op, Float16* d, const Float16* a, Float16 s,
                  std::int64_t n, const Fp16Repeat& rep) {
   if (n > 0) simd_op<true>(op, d, a, &s, n, rep);
 }
+
+DV_AVX2_F16C void simd_dup(Float16* d, Float16 s, std::int64_t n,
+                           const Fp16Repeat& rep) {
+  const __m256i v = _mm256_set1_epi16(static_cast<short>(s.bits()));
+  for (std::int64_t r = 0; r < rep.rows; ++r) {
+    Float16* const dr = d + r * rep.d_stride;
+    std::int64_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dr + i), v);
+    }
+    for (; i < n; ++i) dr[i] = s;
+  }
+}
 #endif  // DV_HAVE_X86_SIMD
 
-const Fp16RowKernels kPortable{portable_binary, portable_scalar};
+const Fp16RowKernels kPortable{portable_binary, portable_scalar, portable_dup};
 
 const Fp16RowKernels& active_kernels() {
   static const Fp16RowKernels& k = [] {
@@ -249,7 +270,7 @@ const Fp16RowKernels& fp16_portable_row_kernels() { return kPortable; }
 
 const Fp16RowKernels* fp16_simd_row_kernels() {
 #ifdef DV_HAVE_X86_SIMD
-  static const Fp16RowKernels kSimd{simd_binary, simd_scalar};
+  static const Fp16RowKernels kSimd{simd_binary, simd_scalar, simd_dup};
   static const bool supported = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
@@ -268,6 +289,11 @@ void fp16_binary_row(Fp16RowOp op, Float16* d, const Float16* a,
 void fp16_scalar_row(Fp16RowOp op, Float16* d, const Float16* a, Float16 s,
                      std::int64_t n, const Fp16Repeat& rep) {
   active_kernels().scalar(op, d, a, s, n, rep);
+}
+
+void fp16_dup_row(Float16* d, Float16 s, std::int64_t n,
+                  const Fp16Repeat& rep) {
+  active_kernels().dup(d, s, n, rep);
 }
 
 }  // namespace davinci

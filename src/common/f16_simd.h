@@ -46,8 +46,12 @@ void fp16_binary_row(Fp16RowOp op, Float16* d, const Float16* a,
 // d_r[i] = op(a_r[i], s) for i in [0, n), each row of `rep`.
 void fp16_scalar_row(Fp16RowOp op, Float16* d, const Float16* a, Float16 s,
                      std::int64_t n, const Fp16Repeat& rep = {});
+// d_r[i] = s for i in [0, n), each row of `rep` (only d_stride is read).
+// Every store writes the same bits, so overlapping rows need no order.
+void fp16_dup_row(Float16* d, Float16 s, std::int64_t n,
+                  const Fp16Repeat& rep = {});
 
-// One implementation of the two kernels. A row whose `d` starts inside a
+// One implementation of the kernels. A row whose `d` starts inside a
 // source row at a higher address (src < d < src + n) reads lanes the
 // serial loop has already overwritten; the AVX2/F16C kernels run such a
 // row on the portable lane loop. Any other overlap (d == src, or d below
@@ -57,6 +61,7 @@ struct Fp16RowKernels {
                  std::int64_t n, const Fp16Repeat& rep);
   void (*scalar)(Fp16RowOp op, Float16* d, const Float16* a, Float16 s,
                  std::int64_t n, const Fp16Repeat& rep);
+  void (*dup)(Float16* d, Float16 s, std::int64_t n, const Fp16Repeat& rep);
 };
 
 const Fp16RowKernels& fp16_portable_row_kernels();

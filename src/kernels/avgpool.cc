@@ -24,7 +24,6 @@ namespace davinci::kernels {
 namespace {
 
 using akg::HTile;
-using detail::gm_view;
 using detail::staged;
 using Event = PipeScheduler::Event;
 
@@ -43,28 +42,15 @@ struct AvgBwdSlot {
 
 }  // namespace
 
-PoolResult avgpool_bwd_impl(Device& dev, const TensorF16& grad,
-                            const Window2d& w, std::int64_t ih,
-                            std::int64_t iw, MergeImpl merge,
-                            const akg::PoolPlan* plan_in) {
-  // Warm lane: a non-null plan means the descriptor/geometry was
-  // validated at plan construction (see pooling_forward_impl).
-  const std::int64_t t_v0 = detail::host_now_ns();
+Device::RunResult avgpool_bwd_impl(Device& dev, const ImageTable& t,
+                                   const BlockRange& r, const Window2d& w,
+                                   MergeImpl merge,
+                                   const akg::PoolPlan& plan) {
+  const std::int64_t ih = t.ih, iw = t.iw;
   const std::int64_t oh = w.out_h(ih), ow = w.out_w(iw);
-  if (plan_in == nullptr) {
-    w.validate();
-    DV_CHECK_EQ(grad.shape().rank(), 5) << "grad is (N,C1,Oh,Ow,C0)";
-    DV_CHECK_EQ(grad.shape()[2], oh);
-    DV_CHECK_EQ(grad.shape()[3], ow);
-  }
-  const std::int64_t n = grad.shape()[0], c1 = grad.shape()[1];
   const Float16 inv(1.0f / static_cast<float>(w.kh * w.kw));
 
   const bool db = dev.double_buffer();
-  const std::int64_t t_p0 = detail::host_now_ns();
-  const akg::PoolPlan plan =
-      plan_in != nullptr ? *plan_in : akg::plan_bwd(dev.arch(), w, ih, iw, db);
-  DV_CHECK_GE(plan.oh_tile, 1) << "invalid precomputed plan";
   const std::int64_t seam = w.kh > w.sh ? w.kh - w.sh : 0;
 
   // Worst-case (interior) tile dimensions for the slot buffers.
@@ -73,20 +59,11 @@ PoolResult avgpool_bwd_impl(Device& dev, const TensorF16& grad,
   const std::int64_t tp_max = plan.oh_tile * ow;
   const std::int64_t pp_max = round_up(tp_max, kFractalRows);
 
-  const std::int64_t t_a0 = detail::host_now_ns();
-  // Uninitialized only when the tile stores cover every input row (see
-  // maxpool_bwd_impl): with Sh > Kh or a trailing remainder, uncovered
-  // rows must read as the zero gradient.
-  const bool full_cover =
-      w.kh >= w.sh && (oh - 1) * w.sh + w.kh - w.pt >= ih;
-  TensorF16 grad_in =
-      full_cover ? detail::make_output(dev, Shape{n, c1, ih, iw, kC0})
-                 : TensorF16(Shape{n, c1, ih, iw, kC0});
-  const std::int64_t t_a1 = detail::host_now_ns();
-
-  auto run = dev.run(n * c1, [&](AiCore& core, std::int64_t b) {
-    const std::int64_t q = b % c1;
-    const std::int64_t bn = b / c1;
+  auto run = dev.run(r.blocks(), [&](AiCore& core, std::int64_t b) {
+    const std::int64_t q = r.q0 + b % r.c1;
+    const std::int64_t bn = r.n0 + b / r.c1;
+    const Span<Float16> img_grad = t.grad.image(bn);
+    const Span<Float16> img_out = t.grad_in.image(bn);
     core.reset_scratch();
     std::vector<AvgBwdSlot> slots(static_cast<std::size_t>(plan.ub_slots));
     for (auto& sl : slots) {
@@ -99,9 +76,9 @@ PoolResult avgpool_bwd_impl(Device& dev, const TensorF16& grad,
     }
     Event last_store = 0;  // previous tile's GM store (seam RAW)
 
-    for (std::int64_t t = 0; t < plan.num_h_tiles; ++t) {
-      AvgBwdSlot& sl = slots[static_cast<std::size_t>(t) % slots.size()];
-      const HTile ht = akg::h_tile(w, ih, oh, plan.oh_tile, t);
+    for (std::int64_t ti = 0; ti < plan.num_h_tiles; ++ti) {
+      AvgBwdSlot& sl = slots[static_cast<std::size_t>(ti) % slots.size()];
+      const HTile ht = akg::h_tile(w, ih, oh, plan.oh_tile, ti);
 
       Window2d wt = w;
       wt.pt = ht.pt_eff;
@@ -112,10 +89,9 @@ PoolResult avgpool_bwd_impl(Device& dev, const TensorF16& grad,
       const std::int64_t pp = round_up(tp, kFractalRows);
       const std::int64_t plane = pp * kC0;
 
-      auto gm_grad = gm_view(grad).sub(
-          ((bn * c1 + q) * oh + ht.o0) * ow * kC0, tp * kC0);
-      auto gm_out_tile = gm_view(grad_in).sub(
-          ((bn * c1 + q) * ih + ht.y0) * iw * kC0, in_rows * iw * kC0);
+      auto gm_grad = img_grad.sub((q * oh + ht.o0) * ow * kC0, tp * kC0);
+      auto gm_out_tile =
+          img_out.sub((q * ih + ht.y0) * iw * kC0, in_rows * iw * kC0);
 
       auto sg = sl.sg.sub(0, tp * kC0);
       auto out = sl.out.sub(0, in_rows * iw * kC0);
@@ -183,7 +159,7 @@ PoolResult avgpool_bwd_impl(Device& dev, const TensorF16& grad,
 
       // Seam accumulation: RAW through GM on the previous tile's store.
       const std::int64_t seam_rows =
-          t > 0 ? (seam < in_rows ? seam : in_rows) : 0;
+          ti > 0 ? (seam < in_rows ? seam : in_rows) : 0;
       Event ready_to_store = merge_done;
       if (seam_rows > 0) {
         const std::int64_t n_seam = seam_rows * iw * kC0;
@@ -215,12 +191,7 @@ PoolResult avgpool_bwd_impl(Device& dev, const TensorF16& grad,
     }
   });
 
-  detail::add_host_overhead(run, t_p0 - t_v0, t_a0 - t_p0, t_a1 - t_a0);
-
-  PoolResult res;
-  res.grad_in = std::move(grad_in);
-  res.run = run;
-  return res;
+  return run;
 }
 
 }  // namespace davinci::kernels

@@ -32,14 +32,14 @@ inline void add_host_overhead(Device::RunResult& run,
   run.host_ns += validate_ns + plan_ns + alloc_ns;
 }
 
-// Output-tensor construction: every kernel overwrites every element of
-// the outputs it produces, so storage can start uninitialized (arena
-// reuse without the zero-fill) -- except under a resilience policy,
-// where a truncated (mte_drop) store can leave part of a block's output
-// region unwritten; the zero-filled construction keeps those bytes
-// deterministic for the verification layer, bit-identical to the
-// pre-arena behavior.
-inline TensorF16 make_output(Device& dev, Shape shape) {
+// Output-tensor construction: the kernels' stores cover every element of
+// the outputs they produce (PoolLaunch zeroes the few rows they do not),
+// so storage can start uninitialized (arena reuse without the zero-fill)
+// -- except under a resilience policy, where a truncated (mte_drop) store
+// can leave part of a block's output region unwritten; the zero-filled
+// construction keeps those bytes deterministic for the verification
+// layer, bit-identical to the pre-arena behavior.
+inline TensorF16 make_output(const Device& dev, Shape shape) {
   return dev.resilience().has_value() ? TensorF16(shape)
                                       : TensorF16(shape, kUninitialized);
 }

@@ -8,22 +8,14 @@
 
 namespace davinci::kernels {
 
-namespace {
-using detail::gm_view;
-}  // namespace
-
-PoolResult global_avgpool_impl(Device& dev, const TensorF16& in) {
-  const std::int64_t t_v0 = detail::host_now_ns();
-  DV_CHECK_EQ(in.shape().rank(), 5) << "expected NC1HWC0";
-  DV_CHECK_EQ(in.shape()[4], kC0);
-  const std::int64_t n = in.shape()[0], c1 = in.shape()[1];
-  const std::int64_t ih = in.shape()[2], iw = in.shape()[3];
+Device::RunResult global_avgpool_impl(Device& dev, const ImageTable& t,
+                                      const BlockRange& r) {
+  const std::int64_t ih = t.ih, iw = t.iw;
   const std::int64_t lanes = dev.arch().vector_lanes;
   const Float16 inv(1.0f / static_cast<float>(ih * iw));
 
   // Row tiling against the Unified Buffer (input tile + the 128-lane
   // accumulator).
-  const std::int64_t t_p0 = detail::host_now_ns();
   const std::int64_t row_elems = iw * kC0;
   std::int64_t rows_per_tile =
       (dev.arch().ub_bytes - 1024) / (row_elems * 2);
@@ -31,12 +23,9 @@ PoolResult global_avgpool_impl(Device& dev, const TensorF16& in) {
   if (rows_per_tile > ih) rows_per_tile = ih;
   const std::int64_t num_tiles = ceil_div(ih, rows_per_tile);
 
-  const std::int64_t t_a0 = detail::host_now_ns();
-  TensorF16 out = detail::make_output(
-      dev, Shape{n, c1, std::int64_t{1}, std::int64_t{1}, kC0});
-  const std::int64_t t_a1 = detail::host_now_ns();
-
-  auto run = dev.run(n * c1, [&](AiCore& core, std::int64_t b) {
+  auto run = dev.run(r.blocks(), [&](AiCore& core, std::int64_t b) {
+    const std::int64_t q = r.q0 + b % r.c1;
+    const std::int64_t bn = r.n0 + b / r.c1;
     // The accumulator lives across tile iterations; the tile buffer is
     // allocated once at its maximum size and reused (the scratch bump
     // allocator cannot free individual regions mid-kernel).
@@ -44,14 +33,14 @@ PoolResult global_avgpool_impl(Device& dev, const TensorF16& in) {
     core.vdup_flat(acc, Float16(), lanes);
     auto tile_buf = core.ub().alloc<Float16>(rows_per_tile * row_elems);
 
-    for (std::int64_t t = 0; t < num_tiles; ++t) {
-      const std::int64_t r0 = t * rows_per_tile;
+    for (std::int64_t ti = 0; ti < num_tiles; ++ti) {
+      const std::int64_t r0 = ti * rows_per_tile;
       const std::int64_t r1 = r0 + rows_per_tile < ih ? r0 + rows_per_tile
                                                       : ih;
       const std::int64_t n_t = (r1 - r0) * row_elems;
       auto tile = tile_buf.sub(0, n_t);
       core.mte().copy(tile,
-                      gm_view(in).sub((b * ih + r0) * row_elems, n_t), n_t);
+                      t.in.image(bn).sub((q * ih + r0) * row_elems, n_t), n_t);
       core.pipe_barrier();
 
       // Running accumulation: acc[j] += chunk[j] for each 128-element
@@ -97,15 +86,10 @@ PoolResult global_avgpool_impl(Device& dev, const TensorF16& in) {
     cfg.mask = VecMask::first_n(static_cast<int>(kC0));
     core.vec().muls(acc, acc, inv, cfg);
     core.pipe_barrier();
-    core.mte().copy(gm_view(out).sub(b * kC0, kC0), acc, kC0);
+    core.mte().copy(t.out.image(bn).sub(q * kC0, kC0), acc, kC0);
   });
 
-  detail::add_host_overhead(run, t_p0 - t_v0, t_a0 - t_p0, t_a1 - t_a0);
-
-  PoolResult res;
-  res.out = std::move(out);
-  res.run = run;
-  return res;
+  return run;
 }
 
 }  // namespace davinci::kernels

@@ -1,6 +1,7 @@
 #include "kernels/lower.h"
 
 #include "common/check.h"
+#include "kernels/detail.h"
 #include "kernels/pool_fwd_driver.h"
 
 namespace davinci::akg {
@@ -94,9 +95,24 @@ LoweredPoolResult lower_and_run(Device& dev, const dsl::Compute& c,
       init = Float16();
       break;
   }
-  auto r = kernels::pooling_forward_impl(dev, input, p.window, impl, op,
-                                         init, Float16(1.0f), nullptr);
-  return LoweredPoolResult{std::move(r.out), r.run, impl};
+  const Shape& s = input.shape();
+  DV_CHECK(s.rank() == 5 && s[4] == kC0) << "expected an NC1HWC0 input";
+  kernels::ImageTable t;
+  t.c1 = s[1];
+  t.ih = s[2];
+  t.iw = s[3];
+  TensorF16 out = kernels::detail::make_output(
+      dev, Shape{s[0], t.c1, p.window.out_h(t.ih), p.window.out_w(t.iw), kC0});
+  t.in.elems = s.stride(0);
+  t.in.append(input);
+  t.out.elems = out.shape().stride(0);
+  t.out.append(out);
+  const PoolPlan plan = plan_fwd(impl, dev.arch(), p.window, t.ih, t.iw,
+                                 /*with_mask=*/false, dev.double_buffer());
+  const Device::RunResult run = kernels::pooling_forward_impl(
+      dev, t, kernels::BlockRange{0, s[0], 0, t.c1}, p.window, impl, op, init,
+      Float16(1.0f), plan);
+  return LoweredPoolResult{std::move(out), run, impl};
 }
 
 }  // namespace davinci::akg

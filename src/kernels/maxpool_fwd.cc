@@ -24,7 +24,6 @@ namespace {
 
 using akg::HTile;
 using akg::PoolImpl;
-using detail::gm_view;
 using detail::staged;
 using Event = PipeScheduler::Event;
 
@@ -363,37 +362,15 @@ FwdSlot alloc_slot(AiCore& core, PoolImpl impl, const Window2d& w,
 // Shared forward driver for MaxPool and AvgPool-style reductions; `op`
 // and `init` select the reduction, `scale` (if not 1) is applied to the
 // output tile before the store (AvgPool's 1/(Kh*Kw)).
-PoolResult pooling_forward_impl(Device& dev, const TensorF16& in,
-                                const Window2d& w, akg::PoolImpl impl,
-                                VecOp op, Float16 init, Float16 scale,
-                                const akg::PoolPlan* plan_in) {
-  // Warm lane: a non-null plan certifies that the descriptor and geometry
-  // were validated when the plan was constructed (akg::plan_fwd validates
-  // the window; serve::PlanCache keys on the live tensor geometry), so
-  // the per-launch checks run only on the cold path.
-  const std::int64_t t_v0 = detail::host_now_ns();
-  if (plan_in == nullptr) {
-    DV_CHECK_EQ(in.shape().rank(), 5) << "expected NC1HWC0";
-    DV_CHECK_EQ(in.shape()[4], kC0);
-    w.validate();
-    if (impl != PoolImpl::kIm2col) {
-      DV_CHECK(!w.has_padding())
-          << to_string(impl)
-          << " kernel supports only unpadded windows; use kIm2col";
-    }
-  }
-  const std::int64_t n = in.shape()[0], c1 = in.shape()[1];
-  const std::int64_t ih = in.shape()[2], iw = in.shape()[3];
+Device::RunResult pooling_forward_impl(Device& dev, const ImageTable& t,
+                                       const BlockRange& r, const Window2d& w,
+                                       akg::PoolImpl impl, VecOp op,
+                                       Float16 init, Float16 scale,
+                                       const akg::PoolPlan& plan) {
+  const std::int64_t ih = t.ih, iw = t.iw;
   const std::int64_t oh = w.out_h(ih), ow = w.out_w(iw);
 
   const bool db = dev.double_buffer();
-  const std::int64_t t_p0 = detail::host_now_ns();
-  const akg::PoolPlan plan =
-      plan_in != nullptr
-          ? *plan_in
-          : akg::plan_fwd(impl, dev.arch(), w, ih, iw, /*with_mask=*/false,
-                          db);
-  DV_CHECK_GE(plan.oh_tile, 1) << "invalid precomputed plan";
 
   // Worst-case (interior) tile dimensions; every tile fits in a prefix.
   const std::int64_t ih_t =
@@ -401,17 +378,15 @@ PoolResult pooling_forward_impl(Device& dev, const TensorF16& in,
   const std::int64_t tp_max = plan.oh_tile * ow;
   const std::int64_t pp_max = round_up(tp_max, kFractalRows);
 
-  const std::int64_t t_a0 = detail::host_now_ns();
-  TensorF16 out = detail::make_output(dev, Shape{n, c1, oh, ow, kC0});
-  const std::int64_t t_a1 = detail::host_now_ns();
-
   // One block per (N, C1) slice, matching the paper's parallelization
   // ("the outer loops are parallelized between the AI Cores"); H-tiles of
   // one slice run sequentially on the same core -- serially when the
   // double-buffer policy is off, in ub_slots-deep ping-pong when on.
-  auto run = dev.run(n * c1, [&](AiCore& core, std::int64_t b) {
-    const std::int64_t q = b % c1;
-    const std::int64_t bn = b / c1;
+  auto run = dev.run(r.blocks(), [&](AiCore& core, std::int64_t b) {
+    const std::int64_t q = r.q0 + b % r.c1;
+    const std::int64_t bn = r.n0 + b / r.c1;
+    const Span<Float16> img_in = t.in.image(bn);
+    const Span<Float16> img_out = t.out.image(bn);
     core.reset_scratch();
     std::vector<FwdSlot> slots;
     slots.reserve(static_cast<std::size_t>(plan.ub_slots));
@@ -419,9 +394,9 @@ PoolResult pooling_forward_impl(Device& dev, const TensorF16& in,
       slots.push_back(alloc_slot(core, impl, w, ih_t, iw, ow, tp_max, pp_max));
     }
 
-    for (std::int64_t t = 0; t < plan.num_h_tiles; ++t) {
-      FwdSlot& sl = slots[static_cast<std::size_t>(t) % slots.size()];
-      const HTile ht = akg::h_tile(w, ih, oh, plan.oh_tile, t);
+    for (std::int64_t ti = 0; ti < plan.num_h_tiles; ++ti) {
+      FwdSlot& sl = slots[static_cast<std::size_t>(ti) % slots.size()];
+      const HTile ht = akg::h_tile(w, ih, oh, plan.oh_tile, ti);
 
       TileGeom g;
       g.w = w;
@@ -432,10 +407,10 @@ PoolResult pooling_forward_impl(Device& dev, const TensorF16& in,
       g.oh_t = ht.out_rows();
       g.ow = ow;
 
-      auto gm_in = gm_view(in).sub(((bn * c1 + q) * ih + ht.y0) * iw * kC0,
-                                   g.in_rows * iw * kC0);
-      auto gm_out = gm_view(out).sub(
-          ((bn * c1 + q) * oh + ht.o0) * ow * kC0, g.tile_patches() * kC0);
+      auto gm_in = img_in.sub((q * ih + ht.y0) * iw * kC0,
+                              g.in_rows * iw * kC0);
+      auto gm_out = img_out.sub((q * oh + ht.o0) * ow * kC0,
+                                g.tile_patches() * kC0);
 
       switch (impl) {
         case PoolImpl::kDirect:
@@ -454,12 +429,7 @@ PoolResult pooling_forward_impl(Device& dev, const TensorF16& in,
     }
   });
 
-  detail::add_host_overhead(run, t_p0 - t_v0, t_a0 - t_p0, t_a1 - t_a0);
-
-  PoolResult res;
-  res.out = std::move(out);
-  res.run = run;
-  return res;
+  return run;
 }
 
 }  // namespace davinci::kernels

@@ -1,8 +1,9 @@
-// Internal: the kernel implementation entry points behind run_pool.
-// Each takes an optional precomputed tiling plan (`plan`); nullptr means
-// "plan here" via akg::plan_fwd / plan_bwd. The serving layer's plan
-// cache (src/serve/plan_cache.h) supplies non-null plans so planning runs
-// once per descriptor instead of once per launch.
+// Internal: the kernel drivers behind PoolLaunch::run. Each runs the
+// blocks of one BlockRange of a launch, reading and writing every image
+// through the launch's ImageTable, and returns the device run. Inputs and
+// geometry were validated, and the tiling plan chosen, when the
+// PoolLaunch was built (the serving layer's plan cache supplies the plan
+// through PoolOp::plan, so planning runs once per descriptor).
 #pragma once
 
 #include "akg/tiling.h"
@@ -14,30 +15,33 @@ namespace davinci::kernels {
 // Shared forward driver (maxpool_fwd.cc) used by the MaxPool, MinPool and
 // AvgPool forward kinds; `op`/`init` select the reduction, `scale` (if
 // not 1) is applied to the output tile before the store.
-PoolResult pooling_forward_impl(Device& dev, const TensorF16& in,
-                                const Window2d& w, akg::PoolImpl impl,
-                                VecOp op, Float16 init, Float16 scale,
-                                const akg::PoolPlan* plan);
+Device::RunResult pooling_forward_impl(Device& dev, const ImageTable& t,
+                                       const BlockRange& r, const Window2d& w,
+                                       akg::PoolImpl impl, VecOp op,
+                                       Float16 init, Float16 scale,
+                                       const akg::PoolPlan& plan);
 
 // MaxPool forward + Argmax mask (maxpool_mask.cc).
-PoolResult maxpool_mask_fwd_impl(Device& dev, const TensorF16& in,
-                                 const Window2d& w, akg::PoolImpl impl,
-                                 const akg::PoolPlan* plan);
+Device::RunResult maxpool_mask_fwd_impl(Device& dev, const ImageTable& t,
+                                        const BlockRange& r,
+                                        const Window2d& w, akg::PoolImpl impl,
+                                        const akg::PoolPlan& plan);
 
 // MaxPool backward (maxpool_bwd.cc).
-PoolResult maxpool_bwd_impl(Device& dev, const TensorF16& mask,
-                            const TensorF16& grad, const Window2d& w,
-                            std::int64_t ih, std::int64_t iw, MergeImpl merge,
-                            const akg::PoolPlan* plan);
+Device::RunResult maxpool_bwd_impl(Device& dev, const ImageTable& t,
+                                   const BlockRange& r, const Window2d& w,
+                                   MergeImpl merge,
+                                   const akg::PoolPlan& plan);
 
 // AvgPool backward (avgpool.cc).
-PoolResult avgpool_bwd_impl(Device& dev, const TensorF16& grad,
-                            const Window2d& w, std::int64_t ih,
-                            std::int64_t iw, MergeImpl merge,
-                            const akg::PoolPlan* plan);
+Device::RunResult avgpool_bwd_impl(Device& dev, const ImageTable& t,
+                                   const BlockRange& r, const Window2d& w,
+                                   MergeImpl merge,
+                                   const akg::PoolPlan& plan);
 
 // Global average pooling (extra_pooling.cc); tiles rows against UB
 // directly, so it takes no akg plan.
-PoolResult global_avgpool_impl(Device& dev, const TensorF16& in);
+Device::RunResult global_avgpool_impl(Device& dev, const ImageTable& t,
+                                      const BlockRange& r);
 
 }  // namespace davinci::kernels

@@ -42,10 +42,17 @@
 // choices, optional precomputed tiling plan), which makes it hashable /
 // comparable -- the serving layer (src/serve/) batches requests by PoolOp
 // and caches tiling plans per descriptor. See docs/API.md.
+//
+// Kernels address global memory image by image through an ImageTable,
+// so a launch may run on several requests' tensors at once
+// (PoolInputs::members) and be split across devices (PoolLaunch ranges)
+// without a host-side copy.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "akg/tiling.h"
 #include "sim/device.h"
@@ -106,11 +113,18 @@ struct PoolOp {
 // must outlive the run_pool call. Forward kinds read `in`; backward kinds
 // read `grad` (and `mask` for kMaxBwd) plus the input spatial size the
 // gradient maps back to.
+//
+// A coalesced launch leaves the tensor pointers null and lists its
+// requests in `members` instead: their images run as one launch, in
+// member order, each read where it lives. Members share one geometry
+// (every dimension but N, and ih/iw); their outputs come back one result
+// per member in PoolResult::parts.
 struct PoolInputs {
   const TensorF16* in = nullptr;    // (N, C1, Ih, Iw, C0), forward kinds
   const TensorF16* mask = nullptr;  // (N, C1, Kh, Kw, PP, C0), kMaxBwd
   const TensorF16* grad = nullptr;  // (N, C1, Oh, Ow, C0), backward kinds
   std::int64_t ih = 0, iw = 0;      // input spatial size, backward kinds
+  std::span<const PoolInputs> members = {};
 };
 
 // The unified result: every operator fills `run` and exactly the tensors
@@ -122,6 +136,10 @@ struct PoolResult {
   TensorF16 mask;     // (N, C1, Kh, Kw, PP, C0); kMaxMaskFwd only
   TensorF16 grad_in;  // (N, C1, Ih, Iw, C0); backward kinds only
   Device::RunResult run;
+  // A coalesced launch's outputs, one entry per member in member order,
+  // each holding only that member's tensors; the three tensors above stay
+  // empty and `run` describes the shared launch.
+  std::vector<PoolResult> parts;
 
   // Rank-based: a default-constructed tensor has a rank-0 shape, whose
   // num_elements() is 1 (the empty product), so size() cannot tell
@@ -136,5 +154,87 @@ struct PoolResult {
 // invalid descriptor/input combinations (unsupported impl for the kind,
 // padding on a non-im2col lowering, shape mismatches).
 PoolResult run_pool(Device& dev, const PoolOp& op, const PoolInputs& in);
+
+// A block range of one launch: images [n0, n0 + n) of the launch (member
+// order for a coalesced launch) x channel groups [q0, q0 + c1) of each.
+struct BlockRange {
+  std::int64_t n0 = 0, n = 0;
+  std::int64_t q0 = 0, c1 = 0;
+  std::int64_t blocks() const { return n * c1; }
+};
+
+// Where one launch's images live. Column `in` holds the global-memory
+// address of every image of the input activations, one entry per image of
+// the launch, whichever request owns it; each image spans `elems`
+// elements of (C1, ...) data. Kernel drivers read and write through these
+// addresses only, so a coalesced launch never stacks its members and a
+// sharded one never slices them.
+struct ImageColumn {
+  std::vector<Float16*> base;  // per image; input columns are only read
+  std::int64_t elems = 0;      // elements per image
+
+  Span<Float16> image(std::int64_t i) const {
+    return gm_span(base[static_cast<std::size_t>(i)], elems);
+  }
+  // Appends the images of `t` (N outermost, `elems` each).
+  void append(const TensorF16& t);
+};
+
+struct ImageTable {
+  std::int64_t c1 = 0;          // channel groups per image
+  std::int64_t ih = 0, iw = 0;  // input spatial size
+  // Inputs: in (forward kinds), grad (backward kinds), and mask -- the
+  // Argmax mask kMaxBwd reads, or the one kMaxMaskFwd writes.
+  ImageColumn in, mask, grad;
+  // Outputs: out (forward kinds), grad_in (backward kinds).
+  ImageColumn out, grad_in;
+};
+
+// run_pool in two halves, for a caller that spreads one launch over
+// several devices (serve::Cluster). The constructor validates the inputs,
+// picks the tiling plan, allocates every output once -- one set per
+// member for a coalesced launch -- and builds the launch's ImageTable;
+// run() executes one block range on one device, reading each image where
+// it lives and writing straight into its output. Ranges must be disjoint;
+// `op`, `in` (and its members and tensors) must outlive every run().
+class PoolLaunch {
+ public:
+  // `dev` supplies the architecture, the double-buffer policy the plan is
+  // made for, and the output policy (zero-filled outputs under a
+  // resilience policy); every device that runs a range must share them.
+  PoolLaunch(const Device& dev, const PoolOp& op, const PoolInputs& in);
+  PoolLaunch(const PoolLaunch&) = delete;
+  PoolLaunch& operator=(const PoolLaunch&) = delete;
+
+  std::int64_t images() const { return images_; }
+  std::int64_t c1() const { return table_.c1; }
+  BlockRange all() const { return {0, images_, 0, table_.c1}; }
+
+  // Global-memory bytes the blocks of `r` read / write.
+  std::int64_t input_bytes(const BlockRange& r) const;
+  std::int64_t output_bytes(const BlockRange& r) const;
+
+  // Runs the blocks of `r` on `dev`, image-major. The result's host
+  // buckets cover planning and execution of this range only.
+  Device::RunResult run(Device& dev, const BlockRange& r) const;
+
+  // Adds the constructor's validation, planning and allocation time to
+  // `run`'s host buckets (once per launch, however many ranges ran).
+  void add_setup_ns(Device::RunResult& run) const;
+
+  // Moves the outputs out (the tensors, or `parts` for a coalesced
+  // launch); `run` is left default. No run() may follow.
+  PoolResult take_outputs();
+
+ private:
+  const PoolOp& op_;
+  std::span<const PoolInputs> members_;  // the launch's inputs, in order
+  akg::PoolPlan plan_;  // unused by kGlobalAvg
+  ImageTable table_;
+  PoolResult outputs_;
+  std::int64_t images_ = 0;
+  std::int64_t in_block_elems_ = 0, out_block_elems_ = 0;
+  std::int64_t validate_ns_ = 0, plan_ns_ = 0, alloc_ns_ = 0;
+};
 
 }  // namespace davinci::kernels

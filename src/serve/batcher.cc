@@ -1,6 +1,5 @@
 #include "serve/batcher.h"
 
-#include <cstring>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -18,39 +17,6 @@ const TensorF16& primary_tensor(const PoolOp& op, const PoolInputs& in) {
   const TensorF16* t = kernels::is_backward(op.kind) ? in.grad : in.in;
   DV_CHECK(t != nullptr) << op.to_string() << ": missing input tensor";
   return *t;
-}
-
-// Copies member tensor slices (contiguous along the outermost N axis)
-// into consecutive slices of `dst`.
-void stack(TensorF16* dst, const Shape& per_image,
-           const std::vector<const TensorF16*>& srcs) {
-  std::int64_t total_n = 0;
-  for (const TensorF16* s : srcs) total_n += s->shape()[0];
-  Shape stacked = per_image;
-  stacked.set_dim(0, total_n);
-  // Every element is memcpy'd below, so the staging tensor can skip the
-  // zero-fill (arena reuse without a memset).
-  *dst = TensorF16(stacked, kUninitialized);
-  const std::int64_t stride = per_image.stride(0);
-  std::int64_t off = 0;
-  for (const TensorF16* s : srcs) {
-    DV_CHECK_EQ(s->size(), s->shape()[0] * stride) << "slice stride mismatch";
-    std::memcpy(dst->data() + off, s->data(),
-                static_cast<std::size_t>(s->size()) * sizeof(Float16));
-    off += s->size();
-  }
-}
-
-// Copies N-slices [n0, n0+n) of `src` into a fresh tensor with the same
-// trailing dims.
-TensorF16 slice_n(const TensorF16& src, std::int64_t n0, std::int64_t n) {
-  Shape dims = src.shape();
-  dims.set_dim(0, n);
-  const std::int64_t stride = src.shape().stride(0);
-  TensorF16 out{dims, kUninitialized};  // fully overwritten just below
-  std::memcpy(out.data(), src.data() + n0 * stride,
-              static_cast<std::size_t>(n * stride) * sizeof(Float16));
-  return out;
 }
 
 }  // namespace
@@ -130,14 +96,10 @@ std::vector<Batch> form_batches(const std::vector<RequestView>& reqs,
 }
 
 kernels::PoolInputs CoalescedInputs::inputs() const {
-  // Rank-based presence checks: a default-constructed tensor reports
-  // size() == 1 (rank-0 empty product).
   PoolInputs pi;
-  if (in.shape().rank() > 0) pi.in = &in;
-  if (mask.shape().rank() > 0) pi.mask = &mask;
-  if (grad.shape().rank() > 0) pi.grad = &grad;
   pi.ih = ih;
   pi.iw = iw;
+  pi.members = members;
   return pi;
 }
 
@@ -145,52 +107,22 @@ CoalescedInputs coalesce(const std::vector<RequestView>& reqs,
                          const Batch& b) {
   DV_CHECK_GE(b.members.size(), 1u);
   CoalescedInputs c;
-  std::vector<const TensorF16*> in_srcs, mask_srcs, grad_srcs;
-  for (std::size_t m : b.members) {
-    const PoolInputs& pi = *reqs[m].in;
-    const RequestGeometry g = request_geometry(*reqs[m].op, pi);
-    c.n_of.push_back(g.n);
-    if (pi.in != nullptr) in_srcs.push_back(pi.in);
-    if (pi.mask != nullptr) mask_srcs.push_back(pi.mask);
-    if (pi.grad != nullptr) grad_srcs.push_back(pi.grad);
-  }
-  const PoolInputs& first = *reqs[b.members.front()].in;
-  if (!in_srcs.empty()) {
-    DV_CHECK_EQ(in_srcs.size(), b.members.size())
-        << "batch mixes requests with and without an input tensor";
-    stack(&c.in, in_srcs.front()->shape(), in_srcs);
-  }
-  if (!mask_srcs.empty()) {
-    DV_CHECK_EQ(mask_srcs.size(), b.members.size())
-        << "batch mixes requests with and without a mask tensor";
-    stack(&c.mask, mask_srcs.front()->shape(), mask_srcs);
-  }
-  if (!grad_srcs.empty()) {
-    DV_CHECK_EQ(grad_srcs.size(), b.members.size())
-        << "batch mixes requests with and without a gradient tensor";
-    stack(&c.grad, grad_srcs.front()->shape(), grad_srcs);
-  }
-  c.ih = first.ih;
-  c.iw = first.iw;
+  c.members.reserve(b.members.size());
+  for (std::size_t m : b.members) c.members.push_back(*reqs[m].in);
+  c.ih = c.members.front().ih;
+  c.iw = c.members.front().iw;
   return c;
 }
 
 std::vector<PoolResult> split_result(const Batch& b,
                                      const CoalescedInputs& c,
-                                     const PoolResult& batched) {
-  std::vector<PoolResult> out;
-  out.reserve(b.members.size());
-  std::int64_t n0 = 0;
-  for (std::size_t m = 0; m < b.members.size(); ++m) {
-    const std::int64_t n = c.n_of[m];
-    PoolResult r;
-    if (batched.has_out()) r.out = slice_n(batched.out, n0, n);
-    if (batched.has_mask()) r.mask = slice_n(batched.mask, n0, n);
-    if (batched.has_grad_in()) r.grad_in = slice_n(batched.grad_in, n0, n);
-    r.run = batched.run;
-    out.push_back(std::move(r));
-    n0 += n;
-  }
+                                     PoolResult& batched) {
+  DV_CHECK_EQ(batched.parts.size(), b.members.size())
+      << "result does not hold one part per member";
+  DV_CHECK_EQ(c.members.size(), b.members.size());
+  std::vector<PoolResult> out = std::move(batched.parts);
+  batched.parts.clear();
+  for (PoolResult& r : out) r.run = batched.run;
   return out;
 }
 

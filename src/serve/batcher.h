@@ -2,9 +2,11 @@
 //
 // Every pooling kernel launches one block per (N, C1) slice, so a
 // single-image request on an InceptionV3 shape (C1 = 4..18) leaves most
-// of the device's 32 AI Cores idle. The batcher stacks same-geometry
-// requests along the batch dimension N before the launch and slices the
-// outputs back apart afterwards -- bit-identical to running them one by
+// of the device's 32 AI Cores idle. The batcher groups same-geometry
+// requests into one launch along the batch dimension N without copying
+// them: the launch's image table (kernels::ImageTable) points at each
+// member's own tensors, and every member's outputs are allocated on their
+// own and written in place. Bit-identical to running the requests one by
 // one, because each block computes only its own (N, C1) slice with
 // per-block scratch.
 //
@@ -70,27 +72,28 @@ std::vector<Batch> form_batches(const std::vector<RequestView>& reqs,
                                 std::size_t max_requests,
                                 std::int64_t max_blocks);
 
-// The stacked tensors of one batch.
+// One batch as a coalesced launch's inputs: the members' PoolInputs, in
+// member order. Nothing is copied but those descriptors.
 struct CoalescedInputs {
+  // Always empty. Kept only because the benchmark's traced replay
+  // (perfbench/src/replay.cc) reads their sizes as copy volume.
   TensorF16 in, mask, grad;
-  std::int64_t ih = 0, iw = 0;     // backward kinds' target spatial size
-  std::vector<std::int64_t> n_of;  // per-member N, in member order
+  std::int64_t ih = 0, iw = 0;  // backward kinds' target spatial size
+  std::vector<kernels::PoolInputs> members;
 
-  // The PoolInputs aliasing this object's tensors. Computed on demand so
-  // the struct stays safely movable.
+  // The PoolInputs of the coalesced launch, viewing `members`. Computed
+  // on demand so the struct stays safely movable.
   kernels::PoolInputs inputs() const;
 };
 
-// Stacks the members' tensors along N (a memcpy per member and tensor:
-// the N axis is outermost in NC1HWC0, so each member's slice is
-// contiguous).
 CoalescedInputs coalesce(const std::vector<RequestView>& reqs,
                          const Batch& b);
 
-// Slices the batched result back into per-member results. Every member
-// gets a copy of the batched run statistics (the launch was shared).
-std::vector<kernels::PoolResult> split_result(
-    const Batch& b, const CoalescedInputs& c,
-    const kernels::PoolResult& batched);
+// Hands each member its outputs from the coalesced launch's result,
+// consuming `batched.parts` (no tensor is copied). Every member gets a
+// copy of the batched run statistics (the launch was shared).
+std::vector<kernels::PoolResult> split_result(const Batch& b,
+                                              const CoalescedInputs& c,
+                                              kernels::PoolResult& batched);
 
 }  // namespace davinci::serve

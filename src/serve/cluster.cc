@@ -1,7 +1,6 @@
 #include "serve/cluster.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -10,98 +9,9 @@ namespace davinci::serve {
 
 namespace {
 
+using kernels::BlockRange;
 using kernels::PoolInputs;
 using kernels::PoolOp;
-using kernels::PoolResult;
-
-std::int64_t tensor_bytes(const TensorF16& t) {
-  return t.shape().rank() > 0
-             ? t.size() * static_cast<std::int64_t>(sizeof(Float16))
-             : 0;
-}
-
-// Copies [begin, begin + len) of `src` along `axis` (0 = N, 1 = C1) into
-// a fresh tensor. Axis 0 slices are contiguous (N is outermost in
-// NC1HWC0); axis 1 slices are one contiguous chunk per image.
-TensorF16 slice_axis(const TensorF16& src, int axis, std::int64_t begin,
-                     std::int64_t len) {
-  Shape dims = src.shape();
-  dims.set_dim(axis, len);
-  TensorF16 out{dims, kUninitialized};  // fully overwritten just below
-  const std::int64_t stride = src.shape().stride(axis);
-  if (axis == 0) {
-    std::memcpy(out.data(), src.data() + begin * stride,
-                static_cast<std::size_t>(len * stride) * sizeof(Float16));
-    return out;
-  }
-  const std::int64_t n = src.shape()[0];
-  const std::int64_t src_row = src.shape().stride(0);
-  const std::int64_t dst_row = out.shape().stride(0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::memcpy(out.data() + i * dst_row,
-                src.data() + i * src_row + begin * stride,
-                static_cast<std::size_t>(len * stride) * sizeof(Float16));
-  }
-  return out;
-}
-
-// The inverse of slice_axis: pastes `part` into `dst` at `begin` along
-// `axis`.
-void paste_axis(TensorF16* dst, const TensorF16& part, int axis,
-                std::int64_t begin) {
-  const std::int64_t stride = dst->shape().stride(axis);
-  const std::int64_t len = part.shape()[axis];
-  if (axis == 0) {
-    std::memcpy(dst->data() + begin * stride, part.data(),
-                static_cast<std::size_t>(len * stride) * sizeof(Float16));
-    return;
-  }
-  const std::int64_t n = dst->shape()[0];
-  const std::int64_t dst_row = dst->shape().stride(0);
-  const std::int64_t src_row = part.shape().stride(0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::memcpy(dst->data() + i * dst_row + begin * stride,
-                part.data() + i * src_row,
-                static_cast<std::size_t>(len * stride) * sizeof(Float16));
-  }
-}
-
-// One shard's sliced input tensors (empty when the shard borrows the
-// caller's tensors whole).
-struct ShardInputs {
-  TensorF16 in, mask, grad;
-  PoolInputs view;
-  std::int64_t bytes = 0;  // bytes the shard's device reads
-};
-
-ShardInputs make_shard_inputs(const PoolInputs& in, int axis,
-                              std::int64_t begin, std::int64_t len,
-                              bool whole) {
-  ShardInputs s;
-  s.view = in;  // carries ih/iw and any tensors left unsliced
-  if (whole) {
-    if (in.in != nullptr) s.bytes += tensor_bytes(*in.in);
-    if (in.mask != nullptr) s.bytes += tensor_bytes(*in.mask);
-    if (in.grad != nullptr) s.bytes += tensor_bytes(*in.grad);
-    return s;
-  }
-  if (in.in != nullptr) {
-    s.in = slice_axis(*in.in, axis, begin, len);
-    s.view.in = &s.in;
-    s.bytes += tensor_bytes(s.in);
-  }
-  if (in.mask != nullptr) {
-    s.mask = slice_axis(*in.mask, axis, begin, len);
-    s.view.mask = &s.mask;
-    s.bytes += tensor_bytes(s.mask);
-  }
-  if (in.grad != nullptr) {
-    s.grad = slice_axis(*in.grad, axis, begin, len);
-    s.view.grad = &s.grad;
-    s.bytes += tensor_bytes(s.grad);
-  }
-  return s;
-}
 
 }  // namespace
 
@@ -190,14 +100,14 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
     throw Error("cluster: shard " + std::to_string(pin) +
                 " out of range [0, " + std::to_string(num_devices()) + ")");
   }
+  // One launch for every shard: its outputs are allocated once, and each
+  // shard runs a range of the launch's blocks straight into them. The
+  // devices share their architecture and policies, so the launch is
+  // planned and allocated for device 0.
+  kernels::PoolLaunch pl(device(0), op, in);
   const int axis = opts_.placement == Placement::kData ? 0 : 1;
-  const TensorF16* primary = kernels::is_backward(op.kind) ? in.grad : in.in;
-  DV_CHECK(primary != nullptr) << op.to_string() << ": missing input tensor";
-  DV_CHECK_GE(primary->shape().rank(), 2);
-  const std::int64_t axis_len = primary->shape()[axis];
-  const std::int64_t n_total = primary->shape()[0];
-  const std::int64_t c1_total = primary->shape()[1];
-  const std::vector<Shard> shards = plan_shards(axis_len, pin);
+  const std::vector<Shard> shards =
+      plan_shards(axis == 0 ? pl.images() : pl.c1(), pin);
   DV_CHECK_GE(shards.size(), 1u);
 
   Launch launch;
@@ -205,7 +115,8 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
 
   struct ShardRun {
     Shard shard;
-    PoolResult res;
+    BlockRange range;
+    Device::RunResult run;
     std::int64_t in_bytes = 0;
     std::int64_t out_bytes = 0;
   };
@@ -213,9 +124,6 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
   runs.reserve(shards.size());
 
   for (const Shard& shard : shards) {
-    const bool whole = shard.length == axis_len;
-    const ShardInputs si =
-        make_shard_inputs(in, axis, shard.begin, shard.length, whole);
     {
       std::lock_guard<std::mutex> lock(mu_);
       stats_.devices[static_cast<std::size_t>(shard.device)]
@@ -232,11 +140,13 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
     } scope{this, shard.device};
     ShardRun r;
     r.shard = shard;
-    r.res = kernels::run_pool(device(shard.device), op, si.view);
+    r.range = axis == 0 ? BlockRange{shard.begin, shard.length, 0, pl.c1()}
+                        : BlockRange{0, pl.images(), shard.begin,
+                                     shard.length};
+    r.run = pl.run(device(shard.device), r.range);
     if (shard.device != 0) {
-      r.in_bytes = si.bytes;
-      r.out_bytes = tensor_bytes(r.res.out) + tensor_bytes(r.res.mask) +
-                    tensor_bytes(r.res.grad_in);
+      r.in_bytes = pl.input_bytes(r.range);
+      r.out_bytes = pl.output_bytes(r.range);
     }
     runs.push_back(std::move(r));
   }
@@ -267,7 +177,7 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
   std::size_t critical = 0;
   std::int64_t compute_max = 0, serial_max = 0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Device::RunResult& rr = runs[i].res.run;
+    const Device::RunResult& rr = runs[i].run;
     if (rr.device_cycles > compute_max) {
       compute_max = rr.device_cycles;
       critical = i;
@@ -276,52 +186,32 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
   }
   launch.cycles = launch.redistribution_cycles + compute_max;
 
-  if (runs.size() == 1) {
-    launch.result = std::move(runs[0].res);
-    launch.result.run.device_cycles = launch.cycles;
-    launch.result.run.device_cycles_serial =
-        launch.redistribution_cycles + serial_max;
-  } else {
-    PoolResult full;
-    const PoolResult& first = runs[0].res;
-    auto assemble = [&](TensorF16 PoolResult::*field) {
-      if (((first).*field).shape().rank() == 0) return;
-      Shape dims = (first.*field).shape();
-      dims.set_dim(axis, axis == 0 ? n_total : c1_total);
-      (full.*field) = TensorF16(dims, kUninitialized);
-      for (const ShardRun& r : runs) {
-        paste_axis(&(full.*field), r.res.*field, axis, r.shard.begin);
-      }
-    };
-    assemble(&PoolResult::out);
-    assemble(&PoolResult::mask);
-    assemble(&PoolResult::grad_in);
-    Device::RunResult agg = runs[critical].res.run;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      if (i == critical) continue;
-      const Device::RunResult& rr = runs[i].res.run;
-      agg.aggregate += rr.aggregate;
-      agg.profile += rr.profile;
-      agg.faults += rr.faults;
-      agg.host_ns += rr.host_ns;
-      agg.host_alloc_ns += rr.host_alloc_ns;
-      agg.host_plan_ns += rr.host_plan_ns;
-      agg.host_validate_ns += rr.host_validate_ns;
-      agg.host_execute_ns += rr.host_execute_ns;
-      agg.cores_used += rr.cores_used;
-      agg.busiest_unit_cycles =
-          std::max(agg.busiest_unit_cycles, rr.busiest_unit_cycles);
-      if (rr.vm_end > 0) {
-        agg.vm_start = agg.vm_end > 0 ? std::min(agg.vm_start, rr.vm_start)
-                                      : rr.vm_start;
-        agg.vm_end = std::max(agg.vm_end, rr.vm_end);
-      }
+  Device::RunResult agg = runs[critical].run;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (i == critical) continue;
+    const Device::RunResult& rr = runs[i].run;
+    agg.aggregate += rr.aggregate;
+    agg.profile += rr.profile;
+    agg.faults += rr.faults;
+    agg.host_ns += rr.host_ns;
+    agg.host_alloc_ns += rr.host_alloc_ns;
+    agg.host_plan_ns += rr.host_plan_ns;
+    agg.host_validate_ns += rr.host_validate_ns;
+    agg.host_execute_ns += rr.host_execute_ns;
+    agg.cores_used += rr.cores_used;
+    agg.busiest_unit_cycles =
+        std::max(agg.busiest_unit_cycles, rr.busiest_unit_cycles);
+    if (rr.vm_end > 0) {
+      agg.vm_start = agg.vm_end > 0 ? std::min(agg.vm_start, rr.vm_start)
+                                    : rr.vm_start;
+      agg.vm_end = std::max(agg.vm_end, rr.vm_end);
     }
-    agg.device_cycles = launch.cycles;
-    agg.device_cycles_serial = launch.redistribution_cycles + serial_max;
-    full.run = agg;
-    launch.result = std::move(full);
   }
+  agg.device_cycles = launch.cycles;
+  agg.device_cycles_serial = launch.redistribution_cycles + serial_max;
+  pl.add_setup_ns(agg);
+  launch.result = pl.take_outputs();
+  launch.result.run = std::move(agg);
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -335,9 +225,8 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
       DeviceStats& ds = stats_.devices[static_cast<std::size_t>(
           r.shard.device)];
       ds.launches += 1;
-      ds.blocks += axis == 0 ? r.shard.length * c1_total
-                             : n_total * r.shard.length;
-      ds.cycles += r.res.run.device_cycles;
+      ds.blocks += r.range.blocks();
+      ds.cycles += r.run.device_cycles;
       if (r.shard.device != 0) {
         if (r.in_bytes > 0) {
           LinkStats& fwd =

@@ -14,10 +14,16 @@
 // pooling kernel computes one block per (N, C1) slice from that slice's
 // input data alone -- splitting either axis only changes which device a
 // block lands on, never its value (the OneFlow "boxing" observation).
+// Nothing is sliced or pasted on the host: a launch is one
+// kernels::PoolLaunch whose outputs are allocated once, and each shard
+// runs a block range of it (an image range under kData, a channel-group
+// range under kModel), reading its inputs in place and writing straight
+// into those outputs.
 //
 // Requests ingress on device 0, so a shard that runs on device d != 0
-// pays an explicit redistribution step: its input slice crosses the
-// 0 -> d link before compute and its output slice crosses d -> 0 after.
+// pays an explicit, modeled redistribution step: its input slice crosses
+// the 0 -> d link before compute and its output slice crosses d -> 0
+// after. The slice volumes are charged, not copied.
 // Transfer cycles are charged through the existing MTE cost model --
 // CostModel::mte_copy with the link's bandwidth/latency substituted for
 // the core-local MTE path -- and every transfer lands in per-link
@@ -31,9 +37,9 @@
 // busiest device vs. cumulative busy time of the busiest link (the
 // serving session takes the max; docs/CLUSTER.md).
 //
-// A one-device Cluster is the identity: no slicing, no copies, no link
-// charges -- launch results are bit- and cycle-identical to calling
-// kernels::run_pool on a bare Device. This is what keeps the CI serving
+// A one-device Cluster is the identity: one block range covering the
+// whole launch, no link charges -- launch results are bit- and
+// cycle-identical to calling kernels::run_pool on a bare Device. This is what keeps the CI serving
 // baselines gated at zero cycle tolerance across the Session API change.
 //
 // Thread safety: run_pool must be driven by one thread at a time (the
@@ -148,10 +154,10 @@ class Cluster {
   void set_vm_stream(int device, vm::VmStream* stream);
 
   // Routes one launch. pin < 0 shards `in` over the placement axis
-  // across all devices (a shard covering the whole axis -- one device,
-  // or an axis shorter than the device count resolving to one chunk --
-  // runs on the owning device with zero copies). pin >= 0 runs the
-  // whole launch on that device; pin >= num_devices() throws Error.
+  // across all devices (one device, or an axis shorter than the device
+  // count, resolves to fewer shards). pin >= 0 runs the whole launch on
+  // that device; pin >= num_devices() throws Error. A coalesced `in`
+  // (PoolInputs::members) returns its outputs in result.parts.
   // Shard failures (CoreFailed, RetryExhausted, kernel errors)
   // propagate; a launch only lands in the stats when every shard
   // completed.

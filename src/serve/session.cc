@@ -544,35 +544,22 @@ void Session::launch_members(std::vector<Pending>& taken,
     }
   } scope{this};
 
-  std::int64_t launch_cycles = 0;
-  FaultStats launch_faults;
-  int cores_lost = 0;
-  std::int64_t vm_start = 0, vm_end = 0;
-  if (members.size() == 1) {
-    // Singleton fast path: run on the caller's tensors directly, routed
-    // through the cluster (identity on one device or a pinned shard).
-    Cluster::Launch lr = cluster_.run_pool(op, first_in, shard);
-    launch_cycles = lr.cycles;
-    launch_faults = lr.result.run.faults;
-    cores_lost = static_cast<int>(lr.result.run.faults.cores_quarantined);
-    vm_start = lr.result.run.vm_start;
-    vm_end = lr.result.run.vm_end;
-    taken[taken_of[members.front()]].promise.set_value(std::move(lr.result));
-  } else {
-    Batch b;
-    b.key = batch_key(op, first_in);
-    b.members = members;
-    const CoalescedInputs c = coalesce(views, b);
-    Cluster::Launch lr = cluster_.run_pool(op, c.inputs(), shard);
-    launch_cycles = lr.cycles;
-    launch_faults = lr.result.run.faults;
-    cores_lost = static_cast<int>(lr.result.run.faults.cores_quarantined);
-    vm_start = lr.result.run.vm_start;
-    vm_end = lr.result.run.vm_end;
-    std::vector<PoolResult> parts = split_result(b, c, lr.result);
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      taken[taken_of[members[m]]].promise.set_value(std::move(parts[m]));
-    }
+  // Every launch, a singleton included, runs on the members' own tensors
+  // and writes each member's own outputs (batcher.h).
+  Batch b;
+  b.key = batch_key(op, first_in);
+  b.members = members;
+  const CoalescedInputs c = coalesce(views, b);
+  Cluster::Launch lr = cluster_.run_pool(op, c.inputs(), shard);
+  const std::int64_t launch_cycles = lr.cycles;
+  const FaultStats launch_faults = lr.result.run.faults;
+  const int cores_lost =
+      static_cast<int>(lr.result.run.faults.cores_quarantined);
+  const std::int64_t vm_start = lr.result.run.vm_start;
+  const std::int64_t vm_end = lr.result.run.vm_end;
+  std::vector<PoolResult> parts = split_result(b, c, lr.result);
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    taken[taken_of[members[m]]].promise.set_value(std::move(parts[m]));
   }
   if (vm_end > 0) {
     // The launch's scheduled span on the cross-launch stream timeline --

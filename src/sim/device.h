@@ -192,8 +192,8 @@ class Device {
 
   // Stages the next launch's identity for the stream: a display label and
   // the input buffers it reads (dependency tracking). Consumed by the
-  // next collect_result; kernels::run_pool stages this automatically when
-  // a stream is attached.
+  // next collect_result; kernels::PoolLaunch::run stages this
+  // automatically when a stream is attached.
   void annotate_vm_launch(std::string label, std::vector<vm::BufferId> reads) {
     vm_label_ = std::move(label);
     vm_reads_ = std::move(reads);
@@ -222,7 +222,6 @@ class Device {
   vm::VmStream* vm_stream_ = nullptr;
   std::string vm_label_;
   std::vector<vm::BufferId> vm_reads_;
-  std::int64_t vm_write_seq_ = 0;
   // Lazily started on the first parallel run; workers persist for the
   // Device's lifetime (see sim/executor.h).
   WorkStealingPool pool_;

@@ -46,8 +46,7 @@ void VectorUnit::validate(const Span<Float16>& s, const VecConfig& cfg,
   DV_CHECK_GE(rep_stride, 0);
 }
 
-void VectorUnit::charge(const char* op, const VecConfig& cfg) {
-  const int lanes = cfg.mask.count();
+void VectorUnit::charge(const char* op, const VecConfig& cfg, int lanes) {
   stats_->vector_instrs += 1;
   stats_->vector_repeats += cfg.repeat;
   stats_->vector_active_lanes +=
@@ -94,14 +93,21 @@ inline Float16 apply(VecOp op, Float16 a, Float16 b) {
 // kernel issues prefix masks (full 128 lanes or a C0/tail prefix), so
 // this is the common case; it lets the execution loops hoist the
 // per-element bounds check out of the lane loop and run on raw pointers.
+// A prefix's lane count is its run of trailing ones, which compiles to a
+// bit scan: std::popcount would call libgcc on a build without POPCNT.
 inline int prefix_lanes(const VecMask& m) {
   if (m.hi == 0) {
     if ((m.lo & (m.lo + 1)) != 0) return -1;  // lo not of the form 2^k - 1
-    return std::popcount(m.lo);
+    return std::countr_one(m.lo);
   }
   if (m.lo != ~0ull) return -1;
   if ((m.hi & (m.hi + 1)) != 0) return -1;
-  return 64 + std::popcount(m.hi);
+  return 64 + std::countr_one(m.hi);
+}
+
+// A mask's active lane count, given prefix_lanes' verdict on it.
+inline int lanes_of(const VecMask& m, int pfx) {
+  return pfx >= 0 ? pfx : m.count();
 }
 
 // The row kernel for a prefix-masked op; vdiv has none and keeps its
@@ -173,7 +179,7 @@ void VectorUnit::binary(VecOp op, Span<Float16> dst, Span<Float16> src0,
       }
     }
   }
-  charge(to_string(op), cfg);
+  charge(to_string(op), cfg, lanes_of(cfg.mask, pfx));
 }
 
 void VectorUnit::dup(Span<Float16> dst, Float16 value, const VecConfig& cfg) {
@@ -182,11 +188,7 @@ void VectorUnit::dup(Span<Float16> dst, Float16 value, const VecConfig& cfg) {
   if (pfx >= 0) {
     if (pfx > 0) {
       check_extent(dst, cfg, cfg.dst_rep_stride, pfx);
-      Float16* const dp = dst.data();
-      for (int rep = 0; rep < cfg.repeat; ++rep) {
-        Float16* const d = dp + rep * cfg.dst_rep_stride;
-        for (int lane = 0; lane < pfx; ++lane) d[lane] = value;
-      }
+      fp16_dup_row(dst.data(), value, pfx, rows_of(cfg));
     }
   } else {
     for (int rep = 0; rep < cfg.repeat; ++rep) {
@@ -197,7 +199,7 @@ void VectorUnit::dup(Span<Float16> dst, Float16 value, const VecConfig& cfg) {
       }
     }
   }
-  charge("vector_dup", cfg);
+  charge("vector_dup", cfg, lanes_of(cfg.mask, pfx));
 }
 
 void VectorUnit::adds(Span<Float16> dst, Span<Float16> src, Float16 s,
@@ -222,7 +224,7 @@ void VectorUnit::adds(Span<Float16> dst, Span<Float16> src, Float16 s,
       }
     }
   }
-  charge("vadds", cfg);
+  charge("vadds", cfg, lanes_of(cfg.mask, pfx));
 }
 
 void VectorUnit::muls(Span<Float16> dst, Span<Float16> src, Float16 s,
@@ -247,7 +249,7 @@ void VectorUnit::muls(Span<Float16> dst, Span<Float16> src, Float16 s,
       }
     }
   }
-  charge("vmuls", cfg);
+  charge("vmuls", cfg, lanes_of(cfg.mask, pfx));
 }
 
 void VectorUnit::cmpv_eq(Span<Float16> dst, Span<Float16> src0,
@@ -278,7 +280,7 @@ void VectorUnit::cmpv_eq(Span<Float16> dst, Span<Float16> src0,
       }
     }
   }
-  charge("vcmpv_eq", cfg);
+  charge("vcmpv_eq", cfg, lanes_of(cfg.mask, pfx));
 }
 
 void VectorUnit::sel(Span<Float16> dst, Span<Float16> cond, Span<Float16> a,
@@ -297,7 +299,7 @@ void VectorUnit::sel(Span<Float16> dst, Span<Float16> cond, Span<Float16> a,
       dst.at(d + lane) = c ? a.at(ca + lane) : b.at(cb + lane);
     }
   }
-  charge("vsel", cfg);
+  charge("vsel", cfg, cfg.mask.count());
 }
 
 }  // namespace davinci

@@ -104,7 +104,8 @@ class VectorUnit {
  private:
   void validate(const Span<Float16>& s, const VecConfig& cfg,
                 std::int64_t rep_stride) const;
-  void charge(const char* op, const VecConfig& cfg);
+  // Books one issued instruction with `lanes` active lanes per repeat.
+  void charge(const char* op, const VecConfig& cfg, int lanes);
 
   const ArchConfig& arch_;
   const CostModel& cost_;

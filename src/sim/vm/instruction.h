@@ -32,10 +32,11 @@
 
 namespace davinci::vm {
 
-// Opaque buffer identity for dependency tracking. Kernel drivers use the
-// input tensors' data addresses for reads; launch outputs get a fresh
-// unique id (serving results are never re-read by a later launch, and a
-// recycled arena address must not alias a retired buffer).
+// Opaque buffer identity for dependency tracking. Kernel launches name
+// their input tensors' data addresses as reads and register no writes:
+// serving results are never re-read by a later launch, and a recycled
+// arena address must not alias a retired buffer, so an output id could
+// never be matched.
 using BufferId = std::uint64_t;
 
 // One pipe's share of a captured launch on one core, in launch-local

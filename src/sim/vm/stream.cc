@@ -132,6 +132,7 @@ VmStream::Stats VmStream::stats() const {
   s.overlap_cycles = serial_sum_ - makespan_;
   s.window_stalls = window_stalls_;
   s.hazard_stalls = hazard_stalls_;
+  s.tracked_buffers = static_cast<std::int64_t>(buffers_.size());
   s.in_flight = opts_.in_flight;
   for (int c = 0; c <= max_core_; ++c) {
     for (int pi = 0; pi < PipeScheduler::kNumPipes; ++pi) {

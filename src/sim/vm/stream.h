@@ -82,6 +82,7 @@ class VmStream {
     std::int64_t overlap_cycles = 0;  // serial_sum - makespan (>= 0)
     std::int64_t window_stalls = 0;   // placements floored by the window
     std::int64_t hazard_stalls = 0;   // placements floored by a buffer dep
+    std::int64_t tracked_buffers = 0;  // buffer ids in the hazard table
     int in_flight = 0;                // the configured window
     PipeStream streams[PipeScheduler::kNumPipes];
   };

@@ -19,8 +19,8 @@
 //    natural request boundaries.
 //  * acquire() never returns previously-zeroed memory: callers that need
 //    zero-fill (Tensor's default construction) memset themselves, and
-//    callers that overwrite every element (kernel outputs, the batcher's
-//    stack/slice staging) use Tensor's kUninitialized mode and skip it.
+//    callers that overwrite every element (kernel outputs, generated
+//    request inputs) use Tensor's kUninitialized mode and skip it.
 //  * set_poison(true) scribbles 0xA5 over every acquired buffer -- a test
 //    mode that makes any consumer silently relying on zero-fill fail
 //    loudly (tests/test_arena.cc runs the kernels under it).

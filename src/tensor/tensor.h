@@ -12,8 +12,8 @@
 //   Tensor(shape, fill_value)     filled with fill_value
 //   Tensor(shape, kUninitialized) storage only -- for outputs every
 //                                 element of which is overwritten before
-//                                 any read (kernel output tensors, the
-//                                 batcher's stack/slice staging buffers).
+//                                 any read (kernel output tensors,
+//                                 generated request inputs).
 //                                 Contents start as whatever the arena
 //                                 hands back; TensorArena poison mode
 //                                 exists to flush out misuse.

@@ -92,6 +92,32 @@ TEST_F(Fp16SimdParityTest, ScalarRowsMatchPortable) {
   }
 }
 
+// The broadcast rows store the same bits as the serial loop over every
+// encoding, row length and a stride shorter than the row.
+TEST_F(Fp16SimdParityTest, DupRowsMatchSerialLoop) {
+  const Float16 fill = Float16::from_bits(0x1234);
+  for (std::uint32_t sb = 0; sb < kAll; sb += 97) {
+    const Float16 s = Float16::from_bits(static_cast<std::uint16_t>(sb));
+    for (std::int64_t n : {1, 15, 16, 17, 100, 128}) {
+      for (std::int64_t stride : {std::int64_t{5}, n + 3}) {
+        const Fp16Repeat rows{.rows = 4, .d_stride = stride};
+        std::vector<Float16> want(4 * (n + 3) + n, fill);
+        for (std::int64_t r = 0; r < rows.rows; ++r) {
+          for (std::int64_t i = 0; i < n; ++i) want[r * stride + i] = s;
+        }
+        std::vector<Float16> got(want.size(), fill);
+        std::vector<Float16> ref(want.size(), fill);
+        simd_->dup(got.data(), s, n, rows);
+        ref_.dup(ref.data(), s, n, rows);
+        ASSERT_EQ(first_mismatch(want, got), -1)
+            << "simd s=" << sb << " n=" << n << " stride=" << stride;
+        ASSERT_EQ(first_mismatch(want, ref), -1)
+            << "portable s=" << sb << " n=" << n << " stride=" << stride;
+      }
+    }
+  }
+}
+
 // Col2Im accumulates C0 rows in place, o = fp16(o + s) over 16 lanes, as
 // one repeat per output row: in-image patches sit sw C0 rows apart in the
 // image and one C0 row apart in the column buffer.

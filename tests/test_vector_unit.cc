@@ -153,6 +153,63 @@ TEST_F(VectorUnitTest, CycleAccounting) {
   EXPECT_NEAR(stats_.lane_utilization(), 16.0 / 128.0, 1e-9);
 }
 
+// Every instruction books its active lanes: a prefix mask's lane count
+// (taken from its run of trailing ones) and a sparse mask's popcount.
+TEST_F(VectorUnitTest, ActiveLaneAccountingMatchesMaskCount) {
+  auto a = alloc_filled(512, 1.0f);
+  auto d = ub_.alloc<Float16>(512);
+  VecMask sparse;
+  sparse.lo = 0x5555555555555555ull;  // every other lane of the low half
+  sparse.hi = 0x8000000000000001ull;
+  const VecMask masks[] = {VecMask::first_n(0),  VecMask::first_n(1),
+                           VecMask::first_n(16), VecMask::first_n(63),
+                           VecMask::first_n(64), VecMask::first_n(65),
+                           VecMask::first_n(127), VecMask::first_n(128),
+                           sparse};
+  std::int64_t want = 0;
+  for (const VecMask& m : masks) {
+    VecConfig cfg = VecConfig::flat(3);
+    cfg.mask = m;
+    vec_.binary(VecOp::kAdd, d, a, a, cfg);
+    vec_.dup(d, Float16(2.0f), cfg);
+    vec_.adds(d, a, Float16(1.0f), cfg);
+    vec_.muls(d, a, Float16(1.0f), cfg);
+    vec_.cmpv_eq(d, a, a, cfg);
+    vec_.sel(d, a, a, a, cfg);
+    want += 6 * 3 * m.count();
+  }
+  EXPECT_EQ(sparse.count(), 34);
+  EXPECT_EQ(stats_.vector_active_lanes, want);
+  EXPECT_EQ(stats_.traffic.ub_vector_bytes, 2 * want);
+}
+
+// The prefix-mask dup rows against the serial store loop, over every
+// lane count, with repeat strides shorter than a row (overlapping rows)
+// and longer (gaps left untouched).
+TEST_F(VectorUnitTest, DupMatchesSerialStoreLoop) {
+  const Float16 fill = Float16::from_bits(0x3C01);
+  const Float16 v = Float16::from_bits(0xFBFF);
+  for (int lanes = 1; lanes <= 128; ++lanes) {
+    for (std::int64_t stride : {0, 7, 16, 130}) {
+      std::vector<Float16> want(8 * 130 + 128, fill);
+      for (int rep = 0; rep < 8; ++rep) {
+        for (int l = 0; l < lanes; ++l) want[rep * stride + l] = v;
+      }
+      ub_.reset();
+      auto d = ub_.alloc<Float16>(static_cast<std::int64_t>(want.size()));
+      for (std::int64_t i = 0; i < d.size(); ++i) d.at(i) = fill;
+      VecConfig cfg = VecConfig::flat(8);
+      cfg.mask = VecMask::first_n(lanes);
+      cfg.dst_rep_stride = stride;
+      vec_.dup(d, v, cfg);
+      for (std::int64_t i = 0; i < d.size(); ++i) {
+        ASSERT_EQ(d.at(i).bits(), want[static_cast<std::size_t>(i)].bits())
+            << "lanes " << lanes << " stride " << stride << " element " << i;
+      }
+    }
+  }
+}
+
 TEST_F(VectorUnitTest, RejectsNonUbOperands) {
   ScratchBuffer l1(BufferKind::kL1, 1024);
   auto bad = l1.alloc<Float16>(128);

@@ -243,6 +243,36 @@ TEST(VmStream, CaptureRetainsPlacedLaunches) {
   EXPECT_EQ(placed[1].end, 150);
 }
 
+// A kernel launch registers its input addresses as reads and no output
+// ids, so relaunching on the same inputs adds nothing to the hazard table
+// and no launch stalls on a buffer dependency; each launch's cycles match
+// a run without a stream.
+TEST(VmStream, KernelLaunchesKeepTheHazardTableFlat) {
+  TensorF16 mask(Shape{2, 3, 3, 3, 112, kC0});
+  mask.fill_random_ints(3, 0, 1);
+  TensorF16 grad(Shape{2, 3, 10, 10, kC0});
+  grad.fill_random_ints(4);
+  const kernels::PoolOp op{.kind = kernels::PoolOpKind::kMaxBwd,
+                           .window = Window2d::pool(3, 2)};
+  const kernels::PoolInputs in{
+      .mask = &mask, .grad = &grad, .ih = 21, .iw = 21};
+  Device lone;
+  const std::int64_t want = kernels::run_pool(lone, op, in).cycles();
+
+  Device dev;
+  VmStream stream;
+  dev.set_vm_stream(&stream);
+  constexpr int kLaunches = 200;
+  for (int i = 0; i < kLaunches; ++i) {
+    ASSERT_EQ(kernels::run_pool(dev, op, in).cycles(), want) << "launch " << i;
+    ASSERT_EQ(stream.stats().tracked_buffers, 2) << "launch " << i;
+  }
+  const VmStream::Stats s = stream.stats();
+  EXPECT_EQ(s.launches, kLaunches);
+  EXPECT_EQ(s.hazard_stalls, 0);
+  EXPECT_EQ(s.serial_sum, kLaunches * want);
+}
+
 }  // namespace
 }  // namespace davinci::vm
 
