@@ -170,26 +170,6 @@ void Pipeline::Result::add_metrics(MetricsRegistry& registry,
   }
 }
 
-Pipeline::Result Pipeline::run_resilient(Device& dev, const TensorF16& input,
-                                         PoolingStack stack,
-                                         const ResilienceOptions& opts) const {
-  // Install the policy for the duration of the run, restoring whatever was
-  // there before even if a layer throws RetryExhausted.
-  struct Restore {
-    Device& dev;
-    std::optional<ResilienceOptions> prev;
-    ~Restore() {
-      if (prev) {
-        dev.set_resilience(*prev);
-      } else {
-        dev.clear_resilience();
-      }
-    }
-  } restore{dev, dev.resilience()};
-  dev.set_resilience(opts);
-  return run(dev, input, stack);
-}
-
 namespace {
 
 // fp16-rounds an fp32 tensor in place (activation storage between layers).

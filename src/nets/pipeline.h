@@ -82,13 +82,6 @@ class Pipeline {
   // per-layer fault reports.
   Result run(Device& dev, const TensorF16& input, PoolingStack stack) const;
 
-  // Runs the pipeline with fault injection / retry per `opts`: installs
-  // the policy on `dev` for the duration of the call and restores the
-  // previous policy afterwards (exception-safe). Throws RetryExhausted if
-  // any layer cannot complete within its retry budget.
-  Result run_resilient(Device& dev, const TensorF16& input, PoolingStack stack,
-                       const ResilienceOptions& opts) const;
-
   // Reference forward pass (NCHW fp32 in, fp16-rounded activations
   // between layers so it tracks the device pipeline), for validation.
   TensorF32 reference(const TensorF32& input_nchw) const;

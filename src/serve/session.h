@@ -31,10 +31,10 @@
 //    DeadlineExceeded *without* a device launch and never delays or
 //    fails its batchmates;
 //  * under a resilience policy (SessionOptions::resilience) batches run
-//    through Device::run_resilient; a launch that still fails after
-//    retry/quarantine is bisected so a poisoned request fails alone
-//    instead of failing its batchmates, and observed core quarantine
-//    shrinks the cores x ub_waves batch cap;
+//    fault-tolerant (Device::set_resilience); a launch that still fails
+//    after retry/quarantine is bisected so a poisoned request fails
+//    alone instead of failing its batchmates, and observed core
+//    quarantine shrinks the cores x ub_waves batch cap;
 //  * input tensors are borrowed: they must stay alive and unmodified
 //    until the request's future resolves.
 //
@@ -120,9 +120,10 @@ struct SessionOptions {
   std::size_t plan_cache_capacity = 64;
   // Device double-buffer policy (feeds the plan-cache key).
   bool double_buffer = true;
-  // When set, every launch routes through Device::run_resilient with
-  // these options (fault plan, retry budget, store-path verification).
-  // Launches that still fail are bisected; see the class comment.
+  // When set, installed on every device (Device::set_resilience): every
+  // launch runs fault-tolerant under these options (fault plan, retry
+  // budget, store-path verification). Launches that still fail are
+  // bisected; see the class comment.
   std::optional<ResilienceOptions> resilience;
   // Hung-launch watchdog: a launch exceeding this wall-clock budget is
   // counted in stats().watchdog_alarms (once per launch). The simulator
@@ -139,7 +140,8 @@ struct SessionOptions {
   bool vm = true;
   int vm_in_flight = 2;
   // Retain per-launch placed intervals for the Chrome trace exporter
-  // (write_vm_chrome_trace); bounded, off by default.
+  // (Session::write_unified_chrome_trace, davinci_serve --chrome-trace);
+  // bounded, off by default.
   bool vm_capture = false;
   // Request lifecycle tracing (serve/request_trace.h): every request
   // gets a trace id and its transitions land in a bounded event ring of

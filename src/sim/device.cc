@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <exception>
-#include <mutex>
-#include <sstream>
 #include <string>
-#include <thread>
 
 namespace {
 
@@ -31,104 +26,161 @@ Device::Device(ArchConfig arch, CostModel cost)
   }
 }
 
-Device::RunResult Device::run(
-    std::int64_t num_blocks,
-    const std::function<void(AiCore&, std::int64_t)>& fn, bool parallel) {
-  if (resilience_) {
-    ResilienceOptions opts = *resilience_;
-    opts.parallel = opts.parallel && parallel;
-    return run_resilient(num_blocks, fn, opts);
-  }
+// One used core's state within a run. During a round only the core's own
+// lane touches it; between rounds only the scheduler does (the pool's
+// join orders the two).
+struct Device::Lane {
+  std::vector<std::int64_t> todo;     // blocks to run in the next round
+  std::vector<std::int64_t> orphans;  // left unfinished by a hard failure
+  std::optional<CoreFaultState> faults;  // armed in resilient runs only
+  bool quarantined = false;
+  bool exhausted = false;  // `failure` is an exhausted retry budget
+  std::string failure;     // "core C at block B: ..." once the lane failed
 
+  void fail(int c, std::int64_t b, const std::string& what) {
+    failure = "core " + std::to_string(c) + " at block " +
+              std::to_string(b) + ": " + what;
+  }
+};
+
+Device::RunResult Device::run(std::int64_t num_blocks, const BlockFn& fn) {
   DV_CHECK_GE(num_blocks, 0);
+  const ResilienceOptions* opts = resilience_ ? &*resilience_ : nullptr;
+  if (opts != nullptr) {
+    DV_CHECK_GE(opts->max_retries, 0);
+    for (const CoreFailTrigger& t : opts->plan.core_failures) {
+      DV_CHECK(t.core >= 0 && t.core < num_cores())
+          << "core_fail trigger targets core " << t.core << " but the "
+          << "device has " << num_cores() << " cores";
+    }
+  }
   const std::int64_t t0 = now_ns();
   const int cores_used =
       static_cast<int>(std::min<std::int64_t>(num_blocks, num_cores()));
 
   for (int c = 0; c < num_cores(); ++c) cores_[c]->reset_stats();
 
-  // Every worker failure is recorded, not just the first: a multi-core
-  // failure (e.g. a tiling bug that overflows UB on all 32 cores at once)
-  // is reported with per-core context instead of one arbitrary winner.
-  struct WorkerFailure {
-    int core;
-    std::int64_t block;
-    std::string what;
-  };
-  std::vector<WorkerFailure> failures;
-  std::mutex failures_mutex;
-
-  // One lane per simulated core: the lane executes that core's blocks in
-  // increasing order (BlockOrder invariant in device.h), regardless of
-  // which pool worker picks the lane up.
-  auto run_core = [&](int c) {
-    AiCore& core = *cores_[static_cast<std::size_t>(c)];
-    core.launch(cost_.core_launch_cycles);
-    bool lane_failed = false;
-    BlockOrder::for_core(c, num_blocks, num_cores(), [&](std::int64_t b) {
-      if (lane_failed) return;
-      core.reset_scratch();
-      try {
-        fn(core, b);
-      } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(failures_mutex);
-        failures.push_back({c, b, e.what()});
-        lane_failed = true;
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(failures_mutex);
-        failures.push_back({c, b, "unknown exception"});
-        lane_failed = true;
-      }
-    });
-  };
-
-  if (parallel && cores_used > 1) {
-    pool_.run(cores_used, run_core);
-    if (!failures.empty()) {
-      std::sort(failures.begin(), failures.end(),
-                [](const WorkerFailure& a, const WorkerFailure& b) {
-                  return a.core < b.core;
-                });
-      std::ostringstream os;
-      os << failures.size() << " core(s) failed during Device::run:";
-      for (const WorkerFailure& f : failures) {
-        os << "\n  core " << f.core << " at block " << f.block << ": "
-           << f.what;
-      }
-      throw Error(os.str());
+  std::vector<Lane> lanes(static_cast<std::size_t>(cores_used));
+  std::vector<int> execs;  // executions per block (resilient runs)
+  // Arm one deterministic fault stream per core; detach on every exit
+  // path so a later plain run pays zero overhead.
+  struct Disarm {
+    Device* dev;
+    int cores;
+    ~Disarm() {
+      for (int c = 0; c < cores; ++c) dev->cores_[c]->set_fault_state(nullptr);
     }
-  } else {
-    // Serial path (deterministic debugging): the first failure aborts,
-    // annotated with the same "core C at block B" context as the parallel
-    // path but keeping the original exception type (callers dispatch on
-    // the Error hierarchy).
-    auto context = [](int c, std::int64_t b, const char* what) {
-      return "core " + std::to_string(c) + " at block " + std::to_string(b) +
-             ": " + what;
-    };
+  } disarm{this, opts != nullptr ? cores_used : 0};
+  if (opts != nullptr) {
+    execs.assign(static_cast<std::size_t>(num_blocks), 0);
     for (int c = 0; c < cores_used; ++c) {
-      AiCore& core = *cores_[static_cast<std::size_t>(c)];
-      core.launch(cost_.core_launch_cycles);
+      Lane& l = lanes[static_cast<std::size_t>(c)];
+      cores_[c]->set_fault_state(&l.faults.emplace(opts->plan, c));
       BlockOrder::for_core(c, num_blocks, num_cores(), [&](std::int64_t b) {
-        core.reset_scratch();
-        try {
-          fn(core, b);
-        } catch (const TransientFault& e) {
-          throw TransientFault(context(c, b, e.what()));
-        } catch (const CoreFailed& e) {
-          throw CoreFailed(e.core(), context(c, b, e.what()));
-        } catch (const RetryExhausted& e) {
-          throw RetryExhausted(context(c, b, e.what()));
-        } catch (const Error& e) {
-          throw Error(context(c, b, e.what()));
-        } catch (const std::exception& e) {
-          throw Error(context(c, b, e.what()));
-        }
+        l.todo.push_back(b);
+        return true;
       });
     }
   }
 
+  int round = 0;
+  std::vector<int> next;  // lanes of the next round (rounds >= 1)
+  auto run_lane = [&](int task) {
+    const int c = round == 0 ? task : next[static_cast<std::size_t>(task)];
+    Lane& l = lanes[static_cast<std::size_t>(c)];
+    AiCore& core = *cores_[static_cast<std::size_t>(c)];
+    if (round == 0) core.launch(cost_.core_launch_cycles);
+    if (opts == nullptr) {
+      BlockOrder::for_core(c, num_blocks, num_cores(), [&](std::int64_t b) {
+        core.reset_scratch();
+        try {
+          fn(core, b);
+          return true;
+        } catch (const std::exception& e) {
+          l.fail(c, b, e.what());
+        } catch (...) {
+          l.fail(c, b, "unknown exception");
+        }
+        return false;
+      });
+      return;
+    }
+    for (std::size_t i = 0; i < l.todo.size(); ++i) {
+      process_block(c, l.todo[i], l, fn, *opts, execs);
+      if (l.quarantined) {
+        l.orphans.assign(l.todo.begin() + static_cast<std::ptrdiff_t>(i),
+                         l.todo.end());
+      }
+      if (l.quarantined || !l.failure.empty()) break;
+    }
+    l.todo.clear();
+  };
+
+  FaultStats faults;  // the scheduler's redispatch count, then the cores'
+  std::string lost;   // set when no healthy core is left
+  int rr = 0;         // round-robin cursor over the lanes
+  for (int lanes_to_run = cores_used; lanes_to_run > 0;
+       lanes_to_run = static_cast<int>(next.size()), ++round) {
+    pool_.run(lanes_to_run, run_lane);
+    if (opts == nullptr) break;
+    next.clear();
+    std::int64_t orphaned = 0;
+    bool failed = false;
+    bool healthy = false;
+    for (const Lane& l : lanes) {
+      orphaned += static_cast<std::int64_t>(l.orphans.size());
+      failed = failed || !l.failure.empty();
+      healthy = healthy || !l.quarantined;
+    }
+    if (failed || orphaned == 0) break;
+    if (!healthy) {
+      lost = "all " + std::to_string(cores_used) +
+             " core(s) quarantined with " + std::to_string(orphaned) +
+             " block(s) unfinished";
+      break;
+    }
+    // Hand the unfinished blocks out in core-id order, round-robin over
+    // the healthy cores.
+    for (Lane& from : lanes) {
+      for (std::int64_t b : from.orphans) {
+        int to = rr;
+        while (lanes[static_cast<std::size_t>(to)].quarantined) {
+          to = (to + 1) % cores_used;
+        }
+        rr = (to + 1) % cores_used;
+        auto& todo = lanes[static_cast<std::size_t>(to)].todo;
+        if (todo.empty()) next.push_back(to);
+        todo.push_back(b);
+        faults.blocks_redispatched += 1;
+      }
+      from.orphans.clear();
+    }
+  }
+
+  std::string detail;      // one line per failed lane, in core order
+  int failed = 0;
+  bool exhausted = true;   // every failure is an exhausted retry budget
+  for (Lane& l : lanes) {
+    if (l.faults) faults += l.faults->stats();
+    if (l.failure.empty()) continue;
+    failed += 1;
+    exhausted = exhausted && l.exhausted;
+    detail += "\n  " + l.failure;
+  }
+  if (failed > 0 || !lost.empty()) {
+    std::string msg = failed == 0 ? lost
+                                  : std::to_string(failed) +
+                                        " core(s) failed during Device::run:" +
+                                        detail;
+    if (opts == nullptr) throw Error(msg);
+    msg += " | fault stats: " + faults.summary() +
+           " | plan: " + opts->plan.to_string();
+    if (exhausted) throw RetryExhausted(msg);
+    throw Error(msg);
+  }
+
   RunResult result = collect_result(cores_used);
+  result.faults = faults;
   result.host_ns = now_ns() - t0;
   result.host_execute_ns = result.host_ns;
   return result;
@@ -196,55 +248,30 @@ Device::RunResult Device::collect_result(int cores_used) {
   return result;
 }
 
-// Shared scheduling state of one resilient run. All fields are guarded by
-// `m`; per-core fault state is touched only by its own worker.
-struct Device::Sched {
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<std::deque<std::int64_t>> queue;  // per launched worker
-  std::vector<int> execs;                       // per-block executions
-  std::vector<char> quarantined;                // per launched worker
-  std::int64_t blocks_done = 0;
-  std::int64_t num_blocks = 0;
-  int rr = 0;  // round-robin cursor for redistribution
-  bool failed = false;
-  bool exhausted = false;  // failure is a retry/quarantine exhaustion
-  std::string failure;
-  FaultStats run_stats;  // quarantine / redispatch counters
-};
-
-bool Device::process_block(
-    int c, std::int64_t block, Sched& s,
-    const std::function<void(AiCore&, std::int64_t)>& fn,
-    const ResilienceOptions& opts, CoreFaultState& st) {
+void Device::process_block(int c, std::int64_t block, Lane& l,
+                           const BlockFn& fn, const ResilienceOptions& opts,
+                           std::vector<int>& execs) {
   AiCore& core = *cores_[static_cast<std::size_t>(c)];
+  CoreFaultState& st = *l.faults;
   // Budget: each of the (max_retries + 1) allowed attempts is one
-  // execution, or a redundant pair under verification.
+  // execution, or a redundant pair under verification. A block's count
+  // follows it when it is handed to another core.
   const int exec_budget = (opts.max_retries + 1) * (opts.verify ? 2 : 1);
+  int& exec_no = execs[static_cast<std::size_t>(block)];
   // CRCs of completed executions of this block; the block is accepted as
   // soon as two of them agree (majority vote over attempts).
   std::vector<std::uint64_t> seen_crcs;
 
   while (true) {
-    int exec_no = 0;
-    {
-      std::lock_guard<std::mutex> lk(s.m);
-      if (s.failed) return false;
-      if (s.execs[static_cast<std::size_t>(block)] >= exec_budget) {
-        s.failed = true;
-        s.exhausted = true;
-        s.failure =
-            "retry budget exhausted: block " + std::to_string(block) +
-            " still unverified after " +
-            std::to_string(s.execs[static_cast<std::size_t>(block)]) +
-            " execution(s) (max_retries=" + std::to_string(opts.max_retries) +
-            ", last core " + std::to_string(c) + ")";
-        s.cv.notify_all();
-        return false;
-      }
-      s.execs[static_cast<std::size_t>(block)] += 1;
-      exec_no = s.execs[static_cast<std::size_t>(block)];
+    if (exec_no >= exec_budget) {
+      l.exhausted = true;
+      l.fail(c, block,
+             "retry budget exhausted: still unverified after " +
+                 std::to_string(exec_no) + " execution(s) (max_retries=" +
+                 std::to_string(opts.max_retries) + ")");
+      return;
     }
+    exec_no += 1;
     if (!seen_crcs.empty()) st.stats().verification_runs += 1;
 
     try {
@@ -260,45 +287,13 @@ bool Device::process_block(
       st.check_core_alive(block);
       fn(core, block);
     } catch (const CoreFailed&) {
-      // Hard failure: quarantine this core and hand the current block plus
-      // everything left in its queue to the healthy cores, round-robin in
-      // block order (deterministic given the quarantine point).
+      // Hard failure: quarantine this core; the scheduler hands this
+      // block and the rest of the lane to the healthy cores.
       core.sched().abandon_stage();
-      std::lock_guard<std::mutex> lk(s.m);
       st.stats().faults_detected += 1;
-      s.run_stats.cores_quarantined += 1;
-      s.quarantined[static_cast<std::size_t>(c)] = 1;
-      std::deque<std::int64_t> moved;
-      moved.push_back(block);
-      for (std::int64_t x : s.queue[static_cast<std::size_t>(c)]) {
-        moved.push_back(x);
-      }
-      s.queue[static_cast<std::size_t>(c)].clear();
-      const int launched = static_cast<int>(s.queue.size());
-      for (std::int64_t x : moved) {
-        int target = -1;
-        for (int tries = 0; tries < launched; ++tries) {
-          const int cand = s.rr;
-          s.rr = (s.rr + 1) % launched;
-          if (!s.quarantined[static_cast<std::size_t>(cand)]) {
-            target = cand;
-            break;
-          }
-        }
-        if (target < 0) {
-          s.failed = true;
-          s.exhausted = true;
-          s.failure = "all " + std::to_string(launched) +
-                      " core(s) quarantined with " +
-                      std::to_string(s.num_blocks - s.blocks_done) +
-                      " block(s) unfinished";
-          break;
-        }
-        s.queue[static_cast<std::size_t>(target)].push_back(x);
-        s.run_stats.blocks_redispatched += 1;
-      }
-      s.cv.notify_all();
-      return false;
+      st.stats().cores_quarantined += 1;
+      l.quarantined = true;
+      return;
     } catch (const TransientFault&) {
       // Detected transient: same core retries with fresh scratch. The
       // aborted execution contributes no CRC vote.
@@ -308,27 +303,23 @@ bool Device::process_block(
       continue;
     } catch (const std::exception& e) {
       // A genuine kernel/scheduling error, not an injected fault: retrying
-      // cannot help, abort the run with context.
-      std::lock_guard<std::mutex> lk(s.m);
-      if (!s.failed) {
-        s.failed = true;
-        s.failure = "core " + std::to_string(c) + " failed at block " +
-                    std::to_string(block) + ": " + e.what();
-      }
-      s.cv.notify_all();
-      return false;
+      // cannot help, fail the run with context.
+      l.fail(c, block, e.what());
+      return;
+    } catch (...) {
+      l.fail(c, block, "unknown exception");
+      return;
     }
 
     if (!opts.verify) {
       st.accept_execution();
-      break;
+      return;
     }
     const std::uint64_t crc = st.crc();
-    const bool confirmed =
-        std::find(seen_crcs.begin(), seen_crcs.end(), crc) != seen_crcs.end();
-    if (confirmed) {
+    if (std::find(seen_crcs.begin(), seen_crcs.end(), crc) !=
+        seen_crcs.end()) {
       st.accept_execution();
-      break;
+      return;
     }
     if (!seen_crcs.empty()) {
       // Executions disagree: at least one was silently corrupted.
@@ -337,133 +328,6 @@ bool Device::process_block(
     }
     seen_crcs.push_back(crc);
   }
-
-  {
-    std::lock_guard<std::mutex> lk(s.m);
-    s.blocks_done += 1;
-    if (s.blocks_done == s.num_blocks) s.cv.notify_all();
-  }
-  return true;
-}
-
-Device::RunResult Device::run_resilient(
-    std::int64_t num_blocks,
-    const std::function<void(AiCore&, std::int64_t)>& fn,
-    const ResilienceOptions& opts) {
-  DV_CHECK_GE(num_blocks, 0);
-  DV_CHECK_GE(opts.max_retries, 0);
-  const std::int64_t t0 = now_ns();
-  for (const CoreFailTrigger& t : opts.plan.core_failures) {
-    DV_CHECK(t.core >= 0 && t.core < num_cores())
-        << "core_fail trigger targets core " << t.core << " but the device "
-        << "has " << num_cores() << " cores";
-  }
-  const int cores_used =
-      static_cast<int>(std::min<std::int64_t>(num_blocks, num_cores()));
-
-  for (int c = 0; c < num_cores(); ++c) cores_[c]->reset_stats();
-
-  // Arm one deterministic fault stream per core; detach on every exit
-  // path so a later plain run() pays zero overhead.
-  std::vector<std::unique_ptr<CoreFaultState>> states;
-  states.reserve(cores_.size());
-  for (int c = 0; c < num_cores(); ++c) {
-    states.push_back(std::make_unique<CoreFaultState>(opts.plan, c));
-    cores_[static_cast<std::size_t>(c)]->set_fault_state(states.back().get());
-  }
-  struct Disarm {
-    Device* dev;
-    ~Disarm() {
-      for (int c = 0; c < dev->num_cores(); ++c) {
-        dev->cores_[static_cast<std::size_t>(c)]->set_fault_state(nullptr);
-      }
-    }
-  } disarm{this};
-
-  Sched s;
-  s.num_blocks = num_blocks;
-  s.queue.resize(static_cast<std::size_t>(cores_used));
-  s.execs.assign(static_cast<std::size_t>(num_blocks), 0);
-  s.quarantined.assign(static_cast<std::size_t>(cores_used), 0);
-  for (std::int64_t b = 0; b < num_blocks; ++b) {
-    // Identical initial assignment to run(): the BlockOrder home core.
-    s.queue[static_cast<std::size_t>(BlockOrder::home_core(b, num_cores()))]
-        .push_back(b);
-  }
-
-  auto worker = [&](int c) {
-    AiCore& core = *cores_[static_cast<std::size_t>(c)];
-    CoreFaultState& st = *states[static_cast<std::size_t>(c)];
-    core.launch(cost_.core_launch_cycles);
-    while (true) {
-      std::int64_t b;
-      {
-        std::unique_lock<std::mutex> lk(s.m);
-        s.cv.wait(lk, [&] {
-          return s.failed || s.quarantined[static_cast<std::size_t>(c)] ||
-                 !s.queue[static_cast<std::size_t>(c)].empty() ||
-                 s.blocks_done == s.num_blocks;
-        });
-        if (s.failed || s.quarantined[static_cast<std::size_t>(c)]) return;
-        if (s.queue[static_cast<std::size_t>(c)].empty()) return;  // done
-        b = s.queue[static_cast<std::size_t>(c)].front();
-        s.queue[static_cast<std::size_t>(c)].pop_front();
-      }
-      if (!process_block(c, b, s, fn, opts, st)) return;
-    }
-  };
-
-  if (opts.parallel && cores_used > 1) {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(cores_used));
-    for (int c = 0; c < cores_used; ++c) workers.emplace_back(worker, c);
-    for (auto& w : workers) w.join();
-  } else if (cores_used > 0) {
-    // Serial scheduler: drain per-core queues in repeated passes so
-    // redistributed blocks still execute. Per-core order -- and therefore
-    // every fault stream -- matches the parallel path.
-    for (int c = 0; c < cores_used; ++c) {
-      cores_[static_cast<std::size_t>(c)]->launch(cost_.core_launch_cycles);
-    }
-    bool progress = true;
-    while (!s.failed && s.blocks_done < num_blocks && progress) {
-      progress = false;
-      for (int c = 0; c < cores_used && !s.failed; ++c) {
-        if (s.quarantined[static_cast<std::size_t>(c)]) continue;
-        while (!s.queue[static_cast<std::size_t>(c)].empty()) {
-          const std::int64_t b = s.queue[static_cast<std::size_t>(c)].front();
-          s.queue[static_cast<std::size_t>(c)].pop_front();
-          progress = true;
-          if (!process_block(c, b, s, fn, opts,
-                             *states[static_cast<std::size_t>(c)])) {
-            break;
-          }
-        }
-      }
-    }
-    if (!s.failed && s.blocks_done < num_blocks) {
-      s.failed = true;
-      s.failure = "internal: serial resilient scheduler stalled";
-    }
-  }
-
-  FaultStats total = s.run_stats;
-  for (int c = 0; c < num_cores(); ++c) {
-    total += states[static_cast<std::size_t>(c)]->stats();
-  }
-
-  if (s.failed) {
-    const std::string msg = s.failure + " | fault stats: " + total.summary() +
-                            " | plan: " + opts.plan.to_string();
-    if (s.exhausted) throw RetryExhausted(msg);
-    throw Error(msg);
-  }
-
-  RunResult result = collect_result(cores_used);
-  result.faults = total;
-  result.host_ns = now_ns() - t0;
-  result.host_execute_ns = result.host_ns;
-  return result;
 }
 
 }  // namespace davinci

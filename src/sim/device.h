@@ -14,22 +14,23 @@
 // (sim/pipe_schedule.h); for kernels that never open a stage it equals
 // the serial cycle sum, which stays reported as device_cycles_serial.
 //
-// Block-ordering invariant (every execution path):
-//   * block b is *accounted* to simulated core (b mod num_cores) --
-//     BlockOrder::home_core -- and each core executes its blocks in
-//     increasing block order (BlockOrder::for_core);
-//   * which HOST THREAD runs a core's lane is a free variable: the
-//     work-stealing pool (parallel run), the serial fallback and the
-//     resilient scheduler's workers all produce identical per-core
-//     scratch/stats/fault-stream histories, so outputs and cycle
-//     accounting are bit-identical regardless of host scheduling.
-//   The one sanctioned exception is quarantine redistribution in
-//   run_resilient, which reassigns the remaining blocks of a failed core
-//   round-robin over the healthy ones -- deterministically, given the
-//   quarantine point.
+// One block scheduler runs every launch, plain or fault-tolerant:
+//   * lanes -- each used core is one lane on the device's own
+//     WorkStealingPool (sim/executor.h); a lane runs its core's blocks in
+//     order on one host thread, so which pool worker picks the lane up
+//     never changes what it computes or charges;
+//   * rounds -- round 0 runs block b on core (b mod num_cores)
+//     (BlockOrder), in increasing block order. Under a resilience policy
+//     a core that fails hard stops, and between rounds the blocks it left
+//     unfinished are handed out in core-id order, round-robin over the
+//     healthy cores; the next round runs only the lanes that received
+//     blocks. The schedule is a function of the fault plan alone, never
+//     of host thread timing, so outputs, per-core cycles and fault stats
+//     replay bit for bit, whatever the number of failures;
+//   * each used core is charged its launch overhead once per run.
 //
-// Resilient execution (run_resilient / set_resilience) adds the RAS layer
-// a production fleet needs on top of that: deterministic fault injection
+// Resilient execution (set_resilience) adds the RAS layer a production
+// fleet needs on top of that: deterministic fault injection
 // (sim/fault.h), bounded per-block retry, quarantine of hard-failed cores
 // with redistribution of their remaining blocks, and optional
 // redundant-execution verification of each block's global-memory stores.
@@ -55,18 +56,16 @@
 
 namespace davinci {
 
-// The canonical block -> core accounting rule (see the invariant above),
-// shared by Device::run's pool and serial paths and by run_resilient's
-// initial queue fill.
+// The canonical block -> core accounting rule of round 0 (see above).
 struct BlockOrder {
-  static int home_core(std::int64_t block, int num_cores) {
-    return static_cast<int>(block % num_cores);
-  }
-  // Invokes fn(block) for every block of `core`, in execution order.
+  // Invokes fn(block) for the blocks of `core`, in execution order, until
+  // fn returns false.
   template <typename Fn>
   static void for_core(int core, std::int64_t num_blocks, int num_cores,
                        Fn&& fn) {
-    for (std::int64_t b = core; b < num_blocks; b += num_cores) fn(b);
+    for (std::int64_t b = core; b < num_blocks; b += num_cores) {
+      if (!fn(b)) return;
+    }
   }
 };
 
@@ -103,7 +102,7 @@ class Device {
     std::int64_t host_alloc_ns = 0;     // output-tensor construction
     std::int64_t host_plan_ns = 0;      // akg::plan_fwd / plan_bwd
     std::int64_t host_validate_ns = 0;  // descriptor/shape checks
-    std::int64_t host_execute_ns = 0;   // inside Device::run[_resilient]
+    std::int64_t host_execute_ns = 0;   // inside Device::run
     CycleStats aggregate;                 // sum over used cores
     Profile profile;                      // occupancy, merged over used cores
     std::vector<std::int64_t> core_cycles;  // per-core overlapped makespan
@@ -119,28 +118,26 @@ class Device {
     std::int64_t vm_end = 0;
   };
 
-  // Executes blocks [0, num_blocks) with `fn(core, block_index)`, block b
-  // on core (b mod num_cores). Scratch is reset before every block and
-  // core stats are reset before the run. `parallel` false forces serial
-  // execution (deterministic debugging; results are identical either way
-  // because blocks touch disjoint global memory).
-  //
-  // In the parallel path every worker failure is recorded -- not just the
-  // first -- and the rethrown Error aggregates (core id, block index,
-  // message) for each failed core; the serial path stops at the first
-  // failure and reports it as an Error with the same core/block context.
-  // When a resilience policy is installed (set_resilience), the call
-  // routes through run_resilient instead.
-  RunResult run(std::int64_t num_blocks,
-                const std::function<void(AiCore&, std::int64_t)>& fn,
-                bool parallel = true);
+  using BlockFn = std::function<void(AiCore&, std::int64_t)>;
 
-  // Fault-tolerant execution under `opts`:
-  //  * the fault plan is armed on every core for the duration of the run;
+  // Executes blocks [0, num_blocks) with `fn(core, block_index)` on the
+  // block scheduler above. Scratch is reset before every block and core
+  // stats are reset before the run.
+  //
+  // Every lane failure is recorded -- not just the first -- and the
+  // rethrown Error lists (core id, block index, message) for each failed
+  // core, in core order. Under a resilience policy the message also
+  // carries the fault report, and a run that only ran out of retries or
+  // healthy cores throws RetryExhausted.
+  RunResult run(std::int64_t num_blocks, const BlockFn& fn);
+
+  // Installs a resilience policy under which every subsequent run() (and
+  // therefore every kernel executed on this device) is fault-tolerant:
+  //  * the fault plan is armed on every core for the duration of a run;
   //  * a block whose execution throws a detected fault (TransientFault) is
   //    retried on the same core with fresh scratch;
   //  * a core that throws CoreFailed is quarantined and its unfinished
-  //    blocks are redistributed round-robin over the healthy cores, so the
+  //    blocks are handed to the healthy cores for the next round, so the
   //    run completes with fewer cores and honestly larger device_cycles;
   //  * with opts.verify, each block's global-memory stores are checksummed
   //    on the MTE store path and the block re-executed until two
@@ -152,18 +149,9 @@ class Device {
   //    in the message.
   //
   // With an empty plan and verification off, the result (output bits,
-  // per-core cycles, device_cycles) is identical to run() -- the
-  // resilience layer costs nothing when disabled. Fault injection is
-  // deterministic per core; see docs/RESILIENCE.md for the replay
-  // guarantees.
-  RunResult run_resilient(std::int64_t num_blocks,
-                          const std::function<void(AiCore&, std::int64_t)>& fn,
-                          const ResilienceOptions& opts);
-
-  // Installs a resilience policy that makes every subsequent run() (and
-  // therefore every kernel executed on this device) go through
-  // run_resilient with `opts`. This is how whole pooling workloads and
-  // pipelines run under fault injection without changing kernel code.
+  // per-core cycles, device_cycles) is identical to a run without a
+  // policy -- the resilience layer costs nothing when disabled. See
+  // docs/RESILIENCE.md for the replay guarantees.
   void set_resilience(const ResilienceOptions& opts) { resilience_ = opts; }
   void clear_resilience() { resilience_.reset(); }
   const std::optional<ResilienceOptions>& resilience() const {
@@ -200,18 +188,16 @@ class Device {
   }
 
  private:
-  struct Sched;  // shared scheduling state of one resilient run
+  struct Lane;  // one used core's state within a run
 
-  // Runs one block (with retries / verification) on core `c`. Returns
-  // true if the worker should keep pulling blocks, false if it must exit
-  // (quarantined or run failed).
-  bool process_block(int c, std::int64_t block, Sched& s,
-                     const std::function<void(AiCore&, std::int64_t)>& fn,
-                     const ResilienceOptions& opts,
-                     CoreFaultState& fault_state);
+  // The resilient block body: runs `block` on lane `c` with retries and
+  // verification per `opts`. A hard failure quarantines the lane and an
+  // unrecoverable one records the lane's failure; either stops the lane.
+  void process_block(int c, std::int64_t block, Lane& lane,
+                     const BlockFn& fn, const ResilienceOptions& opts,
+                     std::vector<int>& execs);
 
-  // Collects per-core results into a RunResult (shared by run and
-  // run_resilient).
+  // Collects per-core results into a RunResult.
   RunResult collect_result(int cores_used);
 
   ArchConfig arch_;
@@ -222,8 +208,8 @@ class Device {
   vm::VmStream* vm_stream_ = nullptr;
   std::string vm_label_;
   std::vector<vm::BufferId> vm_reads_;
-  // Lazily started on the first parallel run; workers persist for the
-  // Device's lifetime (see sim/executor.h).
+  // Runs every lane of every run; started lazily on the first run, its
+  // workers persist for the Device's lifetime (see sim/executor.h).
   WorkStealingPool pool_;
 };
 

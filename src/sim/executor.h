@@ -1,22 +1,20 @@
-// Persistent work-stealing thread pool for Device::run.
+// Persistent work-stealing thread pool: the host executor behind every
+// Device::run, plain or fault-tolerant (the block scheduler in
+// sim/device.h). The pool starts its workers once (lazily, on the first
+// run) and reuses them for every subsequent run of the owning Device, so
+// no launch creates a thread.
 //
-// Device used to spawn one std::thread per used core on *every* run()
-// call -- thousands of thread creations per bench sweep. The pool starts
-// its workers once (lazily, on the first parallel run) and reuses them
-// for every subsequent run of the owning Device.
-//
-// Tasks are *core lanes*, not blocks: task c executes every block of
-// simulated core c, in increasing block order. Blocks of one core must
-// stay on one host thread in order (the AiCore's scratch, stats and fault
-// stream are that lane's serial state), so stealing happens at lane
+// Tasks are *core lanes*, not blocks: task i executes every block one
+// simulated core runs in the current round, in order. Blocks of one core
+// must stay on one host thread in order (the AiCore's scratch, stats and
+// fault stream are that lane's serial state), so stealing happens at lane
 // granularity -- an idle worker takes over a whole pending lane rather
 // than individual blocks. Lanes are heterogeneous once H-tiling and edge
-// tiles exist, which is exactly when the old static one-thread-per-lane
-// spawn load-imbalanced on hosts with fewer hardware threads than lanes.
+// tiles exist, which is exactly when a static one-thread-per-lane split
+// load-imbalances on hosts with fewer hardware threads than lanes.
 //
 // Determinism: which worker runs a lane never changes *what* the lane
-// computes or charges -- see the block-ordering invariant in
-// sim/device.h.
+// computes or charges -- see the block scheduler in sim/device.h.
 #pragma once
 
 #include <condition_variable>
@@ -44,7 +42,7 @@ class WorkStealingPool {
   // wrap their work and record failures themselves (Device::run does).
   void run(int n, const std::function<void(int)>& task);
 
-  // Workers the pool runs with (0 before the first parallel run).
+  // Workers the pool runs with (0 before the first run).
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
  private:

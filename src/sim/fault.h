@@ -7,7 +7,7 @@
 // corrupted SCU fractals, parity errors in a compute pipe, and whole
 // cores that stop answering. The simulator models all of these as a
 // *seeded, replayable* fault stream so the resilient execution path
-// (Device::run_resilient) can be exercised and regression-tested
+// (Device::set_resilience) can be exercised and regression-tested
 // deterministically: the same FaultPlan and seed always produce the same
 // fault sites and -- after retry/quarantine -- the same final output.
 //
@@ -23,10 +23,10 @@
 //
 // Each core owns one CoreFaultState: an independent PRNG stream (seeded
 // from plan.seed and the core id) plus per-attempt bookkeeping. A core's
-// stream is consumed in its own deterministic execution order, so replay
-// does not depend on thread interleaving as long as the block-to-core
-// assignment is deterministic (see docs/RESILIENCE.md for the one caveat:
-// redistribution order when *several* cores fail concurrently).
+// stream is consumed in its own deterministic execution order, and the
+// block scheduler's rounds make the block-to-core assignment a function of
+// the plan alone, so replay never depends on thread interleaving (see
+// docs/RESILIENCE.md).
 #pragma once
 
 #include <cstddef>
@@ -123,7 +123,7 @@ class CoreFailed : public Error {
   int core_;
 };
 
-// run_resilient gave up: a block exhausted its attempt budget or no
+// A resilient run gave up: a block exhausted its attempt budget or no
 // healthy core remains. what() carries the structured context (block,
 // attempts, core) so callers and scripts can report it.
 class RetryExhausted : public Error {
@@ -133,9 +133,9 @@ class RetryExhausted : public Error {
 
 // Per-core fault stream and per-execution bookkeeping. One instance per
 // AiCore, attached for the duration of a resilient run; every method is
-// called only from that core's worker thread. With an all-zero plan every
+// called only from that core's lane. With an all-zero plan every
 // hook is a no-op (no PRNG draws, no corruption), which is what makes the
-// empty-plan resilient run bit- and cycle-identical to Device::run.
+// empty-plan resilient run bit- and cycle-identical to a plain run.
 class CoreFaultState {
  public:
   CoreFaultState(const FaultPlan& plan, int core);
@@ -201,8 +201,7 @@ class CoreFaultState {
   bool record_crc_ = false;
 };
 
-// Options for Device::run_resilient (and the Device-level policy that
-// routes Device::run through it).
+// The Device-level resilience policy (Device::set_resilience).
 struct ResilienceOptions {
   FaultPlan plan;
   // Retry allowance per block. The execution budget is
@@ -216,7 +215,6 @@ struct ResilienceOptions {
   // store-path CRC. Turns silent corruption into detected-and-retried
   // faults, at the honest cost of one extra execution per block.
   bool verify = false;
-  bool parallel = true;
 };
 
 }  // namespace davinci

@@ -296,22 +296,6 @@ void write_chrome_trace(const std::string& path, Device& dev) {
   write_trace_file(path, chrome_trace_json(dev));
 }
 
-std::string vm_chrome_trace_json(const vm::VmStream& stream) {
-  std::string out = trace_header("davinci-sim vm");
-  append_meta(&out, 0, -1, "process_name", "VM stream");
-  std::vector<std::pair<std::int64_t, int>> marks;
-  append_vm_launch_tracks(&out, stream.placements(), &marks);
-  append_vm_counter(&out, std::move(marks), stream.stats().makespan);
-  strip_trailing_comma(&out);
-  out += "]}\n";
-  return out;
-}
-
-void write_vm_chrome_trace(const std::string& path,
-                           const vm::VmStream& stream) {
-  write_trace_file(path, vm_chrome_trace_json(stream));
-}
-
 std::string unified_chrome_trace_json(const vm::VmStream& stream,
                                       const std::vector<HostSpan>& spans) {
   std::string out = trace_header("davinci-sim serve");

@@ -40,9 +40,14 @@ class Shape {
     dims_[i] = v;
   }
 
+  // Throws Error when the product overflows int64: no tensor of that
+  // shape can exist.
   std::int64_t num_elements() const {
     std::int64_t n = 1;
-    for (int i = 0; i < rank_; ++i) n *= dims_[i];
+    for (int i = 0; i < rank_; ++i) {
+      DV_CHECK(!__builtin_mul_overflow(n, dims_[i], &n))
+          << "element count of shape " << to_string() << " overflows int64";
+    }
     return n;
   }
 

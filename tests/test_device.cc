@@ -102,22 +102,6 @@ TEST(Device, LaunchOverheadChargedPerCore) {
   }
 }
 
-TEST(Device, SerialAndParallelAgree) {
-  Device dev;
-  std::vector<float> out_par(64), out_ser(64);
-  auto body = [](std::vector<float>& out) {
-    return [&out](AiCore& core, std::int64_t b) {
-      auto a = core.ub().alloc<Float16>(128);
-      core.vdup_flat(a, Float16(static_cast<float>(b)), 128);
-      out[static_cast<std::size_t>(b)] = a.at(0).to_float();
-    };
-  };
-  auto r1 = dev.run(64, body(out_par), /*parallel=*/true);
-  auto r2 = dev.run(64, body(out_ser), /*parallel=*/false);
-  EXPECT_EQ(out_par, out_ser);
-  EXPECT_EQ(r1.device_cycles, r2.device_cycles);
-}
-
 TEST(Device, ExceptionsPropagateFromWorkers) {
   Device dev;
   EXPECT_THROW(dev.run(40,
@@ -128,21 +112,6 @@ TEST(Device, ExceptionsPropagateFromWorkers) {
                          }
                        }),
                Error);
-}
-
-TEST(Device, SerialFailureReportsCoreAndBlock) {
-  Device dev;
-  try {
-    dev.run(40,
-            [](AiCore& core, std::int64_t b) {
-              if (b == 17) core.ub().alloc<Float16>(1 << 20);
-            },
-            /*parallel=*/false);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("core 17 at block 17"), std::string::npos) << msg;
-  }
 }
 
 TEST(Device, StatsResetBetweenRuns) {

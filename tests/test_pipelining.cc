@@ -187,8 +187,7 @@ TEST(Pipelining, PlannerKeepsSlotsWithinUbBudget) {
 
 TEST(Pipelining, DoubleBufferOffMatchesLegacyCycleCounts) {
   // The db-off schedule is the pre-scheduler serial schedule; its cycle
-  // count must agree between two fresh devices (determinism) and between
-  // parallel and serial host execution.
+  // counts must agree between two fresh devices (determinism).
   Device a;
   a.set_double_buffer(false);
   Device b;

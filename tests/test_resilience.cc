@@ -1,5 +1,5 @@
 // Fault injection and resilient execution (sim/fault.h,
-// Device::run_resilient): deterministic replay, quarantine with
+// Device::set_resilience): deterministic replay, quarantine with
 // redistribution, retry budgets, verification by redundant execution, and
 // the zero-cost guarantee of an empty plan.
 #include "sim/fault.h"
@@ -134,7 +134,8 @@ TEST(Resilience, ZeroBlocksIsANoOp) {
   Device dev;
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("core_fail@0", 7);
-  auto r = dev.run_resilient(0, [](AiCore&, std::int64_t) {}, opts);
+  dev.set_resilience(opts);
+  auto r = dev.run(0, [](AiCore&, std::int64_t) {});
   EXPECT_EQ(r.cores_used, 0);
   EXPECT_EQ(r.device_cycles, 0);
 }
@@ -142,29 +143,35 @@ TEST(Resilience, ZeroBlocksIsANoOp) {
 // --- Deterministic replay ---
 
 TEST(Resilience, SameSeedAndPlanReplaysIdentically) {
-  const TensorF16 in = make_input(32, 32, 192);
+  const TensorF16 in = make_input(32, 32, 192);  // 12 blocks (C1 = 12)
   const Window2d w = Window2d::pool(3, 2);
-  ResilienceOptions opts;
-  opts.plan = FaultPlan::parse("bitflip:ub:2e-5,vec_fault:2e-4", 42);
-  opts.max_retries = 8;
-  opts.verify = true;
+  ResilienceOptions silent;
+  silent.plan = FaultPlan::parse("bitflip:ub:2e-5,vec_fault:2e-4", 42);
+  silent.max_retries = 8;
+  silent.verify = true;
+  ResilienceOptions quarantine;
+  quarantine.plan = FaultPlan::parse("core_fail@3", 5);
 
-  auto run_once = [&]() {
-    Device dev;
-    dev.set_resilience(opts);
-    return run_pool(dev,
-                    PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
-                           .fwd = akg::PoolImpl::kDirect},
-                    PoolInputs{.in = &in});
-  };
-  auto a = run_once();
-  auto b = run_once();
+  for (const ResilienceOptions& opts : {silent, quarantine}) {
+    SCOPED_TRACE(opts.plan.to_string());
+    auto run_once = [&]() {
+      Device dev;
+      dev.set_resilience(opts);
+      return run_pool(dev,
+                      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                             .fwd = akg::PoolImpl::kDirect},
+                      PoolInputs{.in = &in});
+    };
+    auto a = run_once();
+    auto b = run_once();
 
-  expect_bits_equal(a.out, b.out);
-  expect_stats_equal(a.run.faults, b.run.faults);
-  EXPECT_EQ(a.run.device_cycles, b.run.device_cycles);
-  // And the verified output is the correct one.
-  expect_bits_equal(a.out, ref::maxpool_fwd(in, w));
+    expect_bits_equal(a.out, b.out);
+    expect_stats_equal(a.run.faults, b.run.faults);
+    EXPECT_EQ(a.run.device_cycles, b.run.device_cycles);
+    EXPECT_EQ(a.run.core_cycles, b.run.core_cycles);
+    // And the verified output is the correct one.
+    expect_bits_equal(a.out, ref::maxpool_fwd(in, w));
+  }
 }
 
 TEST(Resilience, DifferentSeedsDrawDifferentFaults) {
@@ -221,24 +228,33 @@ TEST(Resilience, QuarantineRedistributesAndStaysBitExact) {
   EXPECT_GT(r.run.device_cycles, base.run.device_cycles);
 }
 
-TEST(Resilience, SerialAndParallelAgreeUnderQuarantine) {
-  const TensorF16 in = make_input(32, 32, 128);
-  const Window2d w = Window2d::pool(2, 2);
-  auto run_mode = [&](bool parallel) {
-    Device dev;
-    ResilienceOptions opts;
-    opts.plan = FaultPlan::parse("core_fail@3", 5);
-    opts.parallel = parallel;
-    dev.set_resilience(opts);
-    return run_pool(dev,
-                    PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
-                           .fwd = akg::PoolImpl::kDirect},
-                    PoolInputs{.in = &in});
-  };
-  auto par = run_mode(true);
-  auto ser = run_mode(false);
-  expect_bits_equal(par.out, ser.out);
-  expect_stats_equal(par.run.faults, ser.run.faults);
+TEST(Resilience, OverlappingCoreFailuresReplayIdentically) {
+  // Cores 3 and 7 both fail hard on their first block while the other
+  // lanes run. Their unfinished blocks are handed out between rounds in
+  // core-id order, so the schedule -- and with it every per-core cycle
+  // count -- is the same whichever failure the host observes first.
+  const TensorF16 in = make_input(16, 16, 640);  // 40 blocks (C1 = 40)
+  const Window2d w = Window2d::pool(3, 2);
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w,
+                  .fwd = akg::PoolImpl::kIm2col};
+  Device plain;
+  auto base = run_pool(plain, op, PoolInputs{.in = &in});
+
+  ResilienceOptions opts;
+  opts.plan = FaultPlan::parse("core_fail@3,core_fail@7", 0);
+  Device dev;
+  dev.set_resilience(opts);
+  auto first = run_pool(dev, op, PoolInputs{.in = &in});
+  expect_bits_equal(first.out, base.out);
+  EXPECT_EQ(first.run.faults.cores_quarantined, 2);
+  EXPECT_EQ(first.run.faults.blocks_redispatched, 4);
+  for (int rep = 0; rep < 20; ++rep) {
+    SCOPED_TRACE(rep);
+    auto r = run_pool(dev, op, PoolInputs{.in = &in});
+    EXPECT_EQ(r.run.core_cycles, first.run.core_cycles);
+    expect_stats_equal(r.run.faults, first.run.faults);
+    expect_bits_equal(r.out, first.out);
+  }
 }
 
 TEST(Resilience, DelayedTriggerQuarantinesMidRun) {
@@ -247,16 +263,13 @@ TEST(Resilience, DelayedTriggerQuarantinesMidRun) {
   Device dev(ArchConfig::ascend310());  // 2 cores
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("core_fail@0@2", 0);
-  opts.parallel = false;
+  dev.set_resilience(opts);
   std::vector<int> done(6, 0);
-  auto r = dev.run_resilient(
-      6,
-      [&](AiCore& core, std::int64_t b) {
-        auto a = core.ub().alloc<Float16>(64);
-        core.vdup_flat(a, Float16(1.0f), 64);
-        done[static_cast<std::size_t>(b)] += 1;
-      },
-      opts);
+  auto r = dev.run(6, [&](AiCore& core, std::int64_t b) {
+    auto a = core.ub().alloc<Float16>(64);
+    core.vdup_flat(a, Float16(1.0f), 64);
+    done[static_cast<std::size_t>(b)] += 1;
+  });
   for (int d : done) EXPECT_EQ(d, 1);
   EXPECT_EQ(r.faults.cores_quarantined, 1);
   EXPECT_GE(r.faults.blocks_redispatched, 1);
@@ -266,14 +279,12 @@ TEST(Resilience, AllCoresQuarantinedFailsCleanly) {
   Device dev(ArchConfig::ascend310());  // 2 cores
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("core_fail@0,core_fail@1", 0);
-  opts.parallel = false;
-  EXPECT_THROW(dev.run_resilient(
-                   4,
-                   [](AiCore& core, std::int64_t) {
-                     auto a = core.ub().alloc<Float16>(64);
-                     core.vdup_flat(a, Float16(1.0f), 64);
-                   },
-                   opts),
+  dev.set_resilience(opts);
+  EXPECT_THROW(dev.run(4,
+                       [](AiCore& core, std::int64_t) {
+                         auto a = core.ub().alloc<Float16>(64);
+                         core.vdup_flat(a, Float16(1.0f), 64);
+                       }),
                RetryExhausted);
 }
 
@@ -299,14 +310,12 @@ TEST(Resilience, ExhaustionMessageCarriesContext) {
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("vec_fault:1", 0);
   opts.max_retries = 2;
+  dev.set_resilience(opts);
   try {
-    dev.run_resilient(
-        4,
-        [](AiCore& core, std::int64_t) {
-          auto a = core.ub().alloc<Float16>(64);
-          core.vdup_flat(a, Float16(1.0f), 64);
-        },
-        opts);
+    dev.run(4, [](AiCore& core, std::int64_t) {
+      auto a = core.ub().alloc<Float16>(64);
+      core.vdup_flat(a, Float16(1.0f), 64);
+    });
     FAIL() << "expected RetryExhausted";
   } catch (const RetryExhausted& e) {
     const std::string msg = e.what();
@@ -374,7 +383,7 @@ TEST(Resilience, BitflipsAreCaughtByVerification) {
 
 // --- Pipeline integration ---
 
-TEST(Resilience, PipelineRunResilientSurvivesCoreFailure) {
+TEST(Resilience, PipelineUnderPolicySurvivesCoreFailure) {
   const TensorF16 in = make_input(32, 32, 128);
   nets::Pipeline p;
   p.maxpool(Window2d::pool(2, 2)).avgpool(Window2d::pool(2, 2));
@@ -385,14 +394,13 @@ TEST(Resilience, PipelineRunResilientSurvivesCoreFailure) {
   Device dev;
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("core_fail@2", 0);
-  auto r = p.run_resilient(dev, in, nets::PoolingStack::kAccelerated, opts);
+  dev.set_resilience(opts);
+  auto r = p.run(dev, in, nets::PoolingStack::kAccelerated);
 
   expect_bits_equal(r.out, base.out);
   // The core fails again in every layer's run (fresh fault state per
   // kernel launch), so each of the two layers quarantines it once.
   EXPECT_EQ(r.faults.cores_quarantined, 2);
-  // The policy is removed from the device afterwards.
-  EXPECT_FALSE(dev.resilience().has_value());
 }
 
 // --- Aggregated worker errors in the plain Device::run path ---
@@ -413,17 +421,6 @@ TEST(Device, RunAggregatesAllWorkerFailures) {
     EXPECT_NE(msg.find("boom at block five"), std::string::npos) << msg;
     EXPECT_NE(msg.find("boom at block seventeen"), std::string::npos) << msg;
   }
-}
-
-TEST(Device, SerialRunKeepsRawExceptionType) {
-  Device dev;
-  EXPECT_THROW(dev.run(
-                   4,
-                   [](AiCore&, std::int64_t b) {
-                     if (b == 2) throw TransientFault("raw");
-                   },
-                   /*parallel=*/false),
-               TransientFault);
 }
 
 }  // namespace

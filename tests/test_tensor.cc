@@ -34,6 +34,9 @@ TEST(Shape, EmptyAndZeroDims) {
   EXPECT_EQ(empty.num_elements(), 1);
   Shape zero{0, 5};
   EXPECT_EQ(zero.num_elements(), 0);
+  // A trace line's (n, c1, ih, iw, c0) whose product overflows int64.
+  Shape huge{100000, 100000, 2000000000, 2000000000, 16};
+  EXPECT_THROW(huge.num_elements(), Error);
 }
 
 TEST(Shape, OutOfRangeDimThrows) {

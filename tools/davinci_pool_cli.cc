@@ -27,8 +27,9 @@
 //
 // Fault injection (see docs/RESILIENCE.md for the full grammar):
 //   --inject   comma-separated fault spec, e.g.
-//              core_fail@2,bitflip:ub:1e-6 -- runs every kernel through
-//              Device::run_resilient and prints a fault report. Output
+//              core_fail@2,bitflip:ub:1e-6 -- installs it as the
+//              device's resilience policy (Device::set_resilience) for
+//              every kernel and prints a fault report. Output
 //              verification by redundant execution is enabled
 //              automatically when the plan contains silent-corruption
 //              sites.

@@ -17,8 +17,9 @@
 //   --deadline-us=N      default completion budget for trace lines that
 //                        carry no deadline_us= field (0 = none)
 //   --watchdog-us=N      hung-launch watchdog budget (0 = off)
-//   --inject=SPEC        fault-plan spec (sim/fault.h grammar); routes
-//                        every launch through Device::run_resilient
+//   --inject=SPEC        fault-plan spec (sim/fault.h grammar); installs
+//                        it as every device's resilience policy
+//                        (Device::set_resilience)
 //   --seed=N             fault-plan seed                 (default 1)
 //   --retries=N          per-block retry budget          (default 3)
 //   --verify             CRC-verify stores (catches silent corruption)
@@ -62,12 +63,14 @@
 //                        (VM "vm" sub-object, latency histograms and the
 //                        "request_trace" ring counters)
 //
-// Exit codes: 0 success, 2 usage, 3 trace error, 4 any request failed
+// Exit codes: 0 success, 2 usage, 3 trace error (unreadable, malformed,
+// or a request whose tensors cannot be materialized), 4 any request failed
 // (launch failure, expired deadline, or shed by the overload policy).
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <future>
 #include <mutex>
 #include <string>
@@ -343,10 +346,21 @@ int main(int argc, char** argv) {
   std::vector<serve::MaterializedRequest> requests;
   std::vector<std::size_t> request_line;
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    for (int r = 0; r < entries[i].repeat; ++r) {
-      requests.push_back(
-          serve::materialize(entries[i], i * 1000 + std::uint64_t(r)));
-      request_line.push_back(i);
+    // A line whose tensors cannot exist (element count overflows int64,
+    // or more bytes than the host can allocate) is a trace error, not a
+    // crash.
+    try {
+      for (int r = 0; r < entries[i].repeat; ++r) {
+        requests.push_back(
+            serve::materialize(entries[i], i * 1000 + std::uint64_t(r)));
+        request_line.push_back(i);
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr,
+                   "davinci_serve: trace entry %zu (%s) cannot be "
+                   "materialized: %s\n",
+                   i + 1, serve::to_line(entries[i]).c_str(), e.what());
+      return 3;
     }
   }
 
