@@ -11,10 +11,24 @@
 
 using namespace davinci;
 
-int main() {
+int main(int argc, char** argv) {
   bench::print_preamble("AvgPool forward and backward on Figure 7 shapes",
                         "Ablation A2 (Section V-C of the paper)");
   Device dev;
+  const bool db = !bench::no_double_buffer_arg(argc, argv);
+  dev.set_double_buffer(db);
+  const std::string json_path = bench::json_arg(argc, argv);
+  bench::JsonReport report("ablation_avgpool");
+  auto add_row = [&](const char* shape, const char* impl, bool verified,
+                     const Device::RunResult& run) {
+    report.row()
+        .field("shape", std::string(shape))
+        .field("impl", std::string(impl))
+        .field("double_buffer", db)
+        .field("verified", verified)
+        .run_fields(run)
+        .traffic_fields(run, dev.arch());
+  };
   bench::Table fwd("AvgPool forward",
                    {"input (HWC)", "Avgpool", "with Im2col", "speedup",
                     "verified"});
@@ -48,6 +62,8 @@ int main() {
                  bench::fmt_ratio(static_cast<double>(d.cycles()) /
                                   static_cast<double>(i.cycles())),
                  ok ? "bit-exact" : "MISMATCH"});
+    add_row(shape, "fwd_direct", ok, d.run);
+    add_row(shape, "fwd_im2col", ok, i.run);
 
     TensorF16 grad(Shape{1, c1, w.out_h(layer.h), w.out_w(layer.w), kC0});
     grad.fill_random_ints(9, -5, 5);
@@ -72,6 +88,8 @@ int main() {
                  bench::fmt_ratio(static_cast<double>(bv.cycles()) /
                                   static_cast<double>(bc.cycles())),
                  okb ? "within-ulp" : "MISMATCH"});
+    add_row(shape, "bwd_vadd", okb, bv.run);
+    add_row(shape, "bwd_col2im", okb, bc.run);
   }
   fwd.print();
   bwd.print();
@@ -79,5 +97,6 @@ int main() {
       "\nExpected shape: speedups track the MaxPool results of Figure 7 --\n"
       "the access pattern, not the reduction function, is what Im2Col and\n"
       "Col2Im fix (Section V-C).\n");
+  if (!json_path.empty()) report.write(json_path);
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 
+#include "akg/tiling.h"
 #include "common/check.h"
 #include "sim/ai_core.h"
 #include "sim/device.h"
@@ -64,6 +65,25 @@ inline PipeScheduler::Event staged(AiCore& core, bool on, Pipe pipe,
   return core.end_stage();
 }
 
+// A tile's closing phase: the pipe_barrier of the serial schedule, the
+// GM store of `n` elements once `ready`, and -- double-buffered -- the
+// tile's occupancy marks from its first load to its store (the "ub tiles
+// in flight" counter). Returns the store's completion event.
+inline PipeScheduler::Event store_tile(AiCore& core, bool db,
+                                       PipeScheduler::Event load_done,
+                                       PipeScheduler::Event ready,
+                                       Span<Float16> gm, Span<Float16> ub,
+                                       std::int64_t n) {
+  if (!db) core.pipe_barrier();
+  const PipeScheduler::Event store_done = staged(
+      core, db, Pipe::kMteOut, ready, [&] { core.mte().copy(gm, ub, n); });
+  if (db) {
+    core.sched().note_tile(load_done, +1);
+    core.sched().note_tile(store_done, -1);
+  }
+  return store_done;
+}
+
 // Global-memory view of a tensor's storage. Input tensors are logically
 // read-only; kernels only pass their spans as MTE copy sources.
 inline Span<Float16> gm_view(const TensorF16& t) {
@@ -72,6 +92,70 @@ inline Span<Float16> gm_view(const TensorF16& t) {
 inline Span<Float16> gm_view(TensorF16& t) {
   return gm_span(t.data(), t.size());
 }
+
+// One H-tile of an (n, c1) slice, as the pooling drivers walk them
+// (akg::h_tile): the launch window with the tile's effective paddings,
+// the input rows the tile reads and the output rows it covers.
+struct TileGeom {
+  Window2d w;  // per-tile window (with effective paddings)
+  std::int64_t ih = 0, iw = 0, oh = 0, ow = 0;  // whole-slice sizes
+  std::int64_t y0 = 0, in_rows = 0;  // input rows [y0, y0 + in_rows)
+  std::int64_t o0 = 0, oh_t = 0;     // output rows [o0, o0 + oh_t)
+
+  // The t-th tile of `plan` over an (ih, iw) input.
+  TileGeom(const Window2d& win, std::int64_t ih_, std::int64_t iw_,
+           const akg::PoolPlan& plan, std::int64_t t)
+      : w(win), ih(ih_), iw(iw_), oh(win.out_h(ih_)), ow(win.out_w(iw_)) {
+    const akg::HTile ht = akg::h_tile(win, ih, oh, plan.oh_tile, t);
+    w.pt = ht.pt_eff;
+    w.pb = ht.pb_eff;
+    y0 = ht.y0;
+    in_rows = ht.in_rows();
+    o0 = ht.o0;
+    oh_t = ht.out_rows();
+  }
+
+  std::int64_t tile_patches() const { return oh_t * ow; }
+  std::int64_t padded_patches() const {
+    return round_up(tile_patches(), kFractalRows);
+  }
+  // Elements of one (kh, kw) plane of the tile's im2col shape in UB.
+  std::int64_t plane() const { return padded_patches() * kC0; }
+  std::int64_t in_elems() const { return in_rows * iw * kC0; }
+  std::int64_t out_elems() const { return tile_patches() * kC0; }
+  // Elements between consecutive (kh, kw) planes of a slice's Argmax mask
+  // in GM: the slice's patches, rounded up to whole fractals.
+  std::int64_t mask_plane_elems() const {
+    return round_up(oh * ow, kFractalRows) * kC0;
+  }
+
+  // The Im2Col / Col2Im arguments of the tile.
+  Im2colArgs im2col_args() const {
+    Im2colArgs args;
+    args.window = w;
+    args.ih = in_rows;
+    args.iw = iw;
+    DV_CHECK_EQ(args.patches(), tile_patches());
+    return args;
+  }
+
+  // The tile's part of channel group q of one GM image, by layout:
+  // (C1, Ih, Iw, C0) input-shaped -- the activations, or the backward's
+  // gradient output; (C1, Oh, Ow, C0) output-shaped -- the activations,
+  // or the backward's incoming gradient; and the (C1, Kh, Kw, PP, C0)
+  // Argmax mask, every plane from the tile's first patch on.
+  Span<Float16> in_slice(Span<Float16> img, std::int64_t q) const {
+    return img.sub((q * ih + y0) * iw * kC0, in_elems());
+  }
+  Span<Float16> out_slice(Span<Float16> img, std::int64_t q) const {
+    return img.sub((q * oh + o0) * ow * kC0, out_elems());
+  }
+  Span<Float16> mask_slice(Span<Float16> img, std::int64_t q) const {
+    const std::int64_t planes = w.kh * w.kw;
+    return img.sub(q * planes * mask_plane_elems() + o0 * ow * kC0,
+                   (planes - 1) * mask_plane_elems() + out_elems());
+  }
+};
 
 // Issues a 16-lane (C0-masked) binary vector instruction over `count`
 // strided element groups, splitting into <= max_repeat chunks with a
@@ -200,6 +284,32 @@ inline void row_strided_copy(AiCore& core, Span<Float16> dst,
     }
   }
   if (instrs > 1) core.scalar_loop(instrs - 1);
+}
+
+// The standard TVM lowering's C0-masked window reduction (Listing 1):
+// for each output patch and kernel row, one instruction with only the C0
+// lanes of the 128-lane mask active, repeating over Kw -- issued
+// Oh*Ow*Kh times. `in` holds the tile's input rows in their original
+// layout.
+inline void masked_window_reduce(AiCore& core, VecOp op, Span<Float16> out,
+                                 Span<Float16> in, const TileGeom& g) {
+  for (std::int64_t oh = 0; oh < g.oh_t; ++oh) {
+    for (std::int64_t ow = 0; ow < g.ow; ++ow) {
+      auto dst = out.sub((oh * g.ow + ow) * kC0, kC0);
+      for (std::int64_t kh = 0; kh < g.w.kh; ++kh) {
+        VecConfig cfg;
+        cfg.mask = VecMask::first_n(static_cast<int>(kC0));
+        cfg.repeat = static_cast<int>(g.w.kw);
+        cfg.dst_rep_stride = 0;  // reduction idiom
+        cfg.src0_rep_stride = 0;
+        cfg.src1_rep_stride = kC0;
+        auto src = in.sub(((oh * g.w.sh + kh) * g.iw + ow * g.w.sw) * kC0,
+                          g.w.kw * kC0);
+        core.vec().binary(op, dst, dst, src, cfg);
+        core.scalar_loop(1);
+      }
+    }
+  }
 }
 
 // Full-mask reduction of `planes` consecutive (plane_elems)-sized planes

@@ -3,7 +3,7 @@
 // directly by run_pool in pooling.cc.)
 #include "akg/tiling.h"
 #include "kernels/detail.h"
-#include "kernels/pool_fwd_driver.h"
+#include "kernels/drivers.h"
 #include "kernels/pooling.h"
 
 namespace davinci::kernels {

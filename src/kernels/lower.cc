@@ -2,7 +2,7 @@
 
 #include "common/check.h"
 #include "kernels/detail.h"
-#include "kernels/pool_fwd_driver.h"
+#include "kernels/drivers.h"
 
 namespace davinci::akg {
 

@@ -14,7 +14,7 @@
 
 #include "akg/tiling.h"
 #include "kernels/detail.h"
-#include "kernels/pool_fwd_driver.h"
+#include "kernels/drivers.h"
 #include "kernels/pooling.h"
 #include "sim/scu.h"
 
@@ -22,16 +22,10 @@ namespace davinci::kernels {
 
 namespace {
 
-using akg::HTile;
 using akg::PoolImpl;
 using detail::staged;
+using detail::TileGeom;
 using Event = PipeScheduler::Event;
-
-struct TileGeom {
-  Window2d w;          // per-tile window (with effective paddings)
-  std::int64_t in_rows, iw, oh_t, ow;
-  std::int64_t tile_patches() const { return oh_t * ow; }
-};
 
 // One ping-pong slot: the buffers a tile occupies and the completion
 // events after which each may be overwritten (WAR dependencies between
@@ -68,23 +62,7 @@ void direct_reduce(AiCore& core, VecOp op, Span<Float16> out,
   } else {
     // General case: 16 of 128 mask lanes, repeat over Kw, one instruction
     // per (oh, ow, kh).
-    for (std::int64_t oh = 0; oh < g.oh_t; ++oh) {
-      for (std::int64_t ow = 0; ow < g.ow; ++ow) {
-        auto dst = out.sub((oh * g.ow + ow) * kC0, kC0);
-        for (std::int64_t kh = 0; kh < g.w.kh; ++kh) {
-          VecConfig cfg;
-          cfg.mask = VecMask::first_n(static_cast<int>(kC0));
-          cfg.repeat = static_cast<int>(g.w.kw);
-          cfg.dst_rep_stride = 0;   // reduction idiom
-          cfg.src0_rep_stride = 0;
-          cfg.src1_rep_stride = kC0;
-          auto src = in.sub(
-              ((oh * g.w.sh + kh) * g.iw + ow * g.w.sw) * kC0, g.w.kw * kC0);
-          core.vec().binary(op, dst, dst, src, cfg);
-          core.scalar_loop(1);
-        }
-      }
-    }
+    detail::masked_window_reduce(core, op, out, in, g);
   }
 }
 
@@ -100,8 +78,8 @@ void maybe_scale(AiCore& core, Span<Float16> out, Float16 scale,
 void direct_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
                  Float16 scale, Span<Float16> gm_in, Span<Float16> gm_out,
                  const TileGeom& g) {
-  const std::int64_t n_in = g.in_rows * g.iw * kC0;
-  const std::int64_t n_out = g.tile_patches() * kC0;
+  const std::int64_t n_in = g.in_elems();
+  const std::int64_t n_out = g.out_elems();
   auto in = sl.stage_in.sub(0, n_in);
   auto out = sl.out.sub(0, n_out);
   const Event load_done = staged(core, db, Pipe::kMteIn, sl.in_free,
@@ -115,15 +93,8 @@ void direct_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
         maybe_scale(core, out, scale, n_out);
       });
   sl.in_free = compute_done;
-  if (!db) core.pipe_barrier();
-  const Event store_done =
-      staged(core, db, Pipe::kMteOut, compute_done,
-             [&] { core.mte().copy(gm_out, out, n_out); });
-  sl.out_free = store_done;
-  if (db) {
-    core.sched().note_tile(load_done, +1);
-    core.sched().note_tile(store_done, -1);
-  }
+  sl.out_free = detail::store_tile(core, db, load_done, compute_done, gm_out,
+                                   out, n_out);
 }
 
 // Proposed lowering (Listing 2): GM -> L1, Im2Col load L1 -> UB in the
@@ -132,24 +103,19 @@ void direct_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
 void im2col_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
                  Float16 scale, Span<Float16> gm_in, Span<Float16> gm_out,
                  const TileGeom& g) {
-  const std::int64_t n_in = g.in_rows * g.iw * kC0;
+  const std::int64_t n_in = g.in_elems();
   auto l1 = sl.stage_in.sub(0, n_in);
   const Event load_done = staged(core, db, Pipe::kMteIn, sl.in_free,
                                  [&] { core.mte().copy(l1, gm_in, n_in); });
 
-  Im2colArgs args;
-  args.window = g.w;
-  args.ih = g.in_rows;
-  args.iw = g.iw;
-  DV_CHECK_EQ(args.patches(), g.tile_patches());
-
+  const Im2colArgs args = g.im2col_args();
   auto cols = sl.work.sub(0, args.output_elems());
   const Event scu_done =
       staged(core, db, Pipe::kScu, std::max(load_done, sl.work_free),
              [&] { core.scu().im2col_load(cols, l1, args); });
   sl.in_free = scu_done;
 
-  const std::int64_t plane = args.padded_patches() * kC0;
+  const std::int64_t plane = g.plane();
   auto out = sl.out.sub(0, plane);
   const Event init_done = staged(core, db, Pipe::kVector, sl.out_free,
                                  [&] { core.vdup_flat(out, init, plane); });
@@ -160,15 +126,8 @@ void im2col_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
         maybe_scale(core, out, scale, plane);
       });
   sl.work_free = compute_done;
-  if (!db) core.pipe_barrier();
-  const Event store_done =
-      staged(core, db, Pipe::kMteOut, compute_done,
-             [&] { core.mte().copy(gm_out, out, g.tile_patches() * kC0); });
-  sl.out_free = store_done;
-  if (db) {
-    core.sched().note_tile(load_done, +1);
-    core.sched().note_tile(store_done, -1);
-  }
+  sl.out_free = detail::store_tile(core, db, load_done, compute_done, gm_out,
+                                   out, g.out_elems());
 }
 
 // "Maxpool with expansion" (Figure 8): the im2col shape is produced in UB
@@ -176,8 +135,8 @@ void im2col_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
 // plain load, paying both the extra instructions and the extra UB space.
 void expansion_expand(AiCore& core, Span<Float16> cols, Span<Float16> in,
                       Float16 init, const TileGeom& g) {
-  const std::int64_t pp = round_up(g.tile_patches(), kFractalRows);
-  const std::int64_t plane = pp * kC0;
+  const std::int64_t pp = g.padded_patches();
+  const std::int64_t plane = g.plane();
   for (std::int64_t kh = 0; kh < g.w.kh; ++kh) {
     for (std::int64_t kw = 0; kw < g.w.kw; ++kw) {
       const std::int64_t pbase = (kh * g.w.kw + kw) * plane;
@@ -212,9 +171,8 @@ void expansion_expand(AiCore& core, Span<Float16> cols, Span<Float16> in,
 void expansion_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op,
                     Float16 init, Float16 scale, Span<Float16> gm_in,
                     Span<Float16> gm_out, const TileGeom& g) {
-  const std::int64_t n_in = g.in_rows * g.iw * kC0;
-  const std::int64_t pp = round_up(g.tile_patches(), kFractalRows);
-  const std::int64_t plane = pp * kC0;
+  const std::int64_t n_in = g.in_elems();
+  const std::int64_t plane = g.plane();
   auto in = sl.stage_in.sub(0, n_in);
   auto cols = sl.work.sub(0, g.w.kh * g.w.kw * plane);
   auto out = sl.out.sub(0, plane);
@@ -235,15 +193,8 @@ void expansion_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op,
                maybe_scale(core, out, scale, plane);
              });
   sl.work_free = compute_done;
-  if (!db) core.pipe_barrier();
-  const Event store_done =
-      staged(core, db, Pipe::kMteOut, compute_done,
-             [&] { core.mte().copy(gm_out, out, g.tile_patches() * kC0); });
-  sl.out_free = store_done;
-  if (db) {
-    core.sched().note_tile(load_done, +1);
-    core.sched().note_tile(store_done, -1);
-  }
+  sl.out_free = detail::store_tile(core, db, load_done, compute_done, gm_out,
+                                   out, g.out_elems());
 }
 
 // X-Y split (Lai et al., Figure 8b): reduce along the width into an
@@ -292,9 +243,9 @@ void xysplit_reduce(AiCore& core, VecOp op, Span<Float16> tmp,
 void xysplit_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
                   Float16 scale, Span<Float16> gm_in, Span<Float16> gm_out,
                   const TileGeom& g) {
-  const std::int64_t n_in = g.in_rows * g.iw * kC0;
+  const std::int64_t n_in = g.in_elems();
   const std::int64_t n_tmp = g.in_rows * g.ow * kC0;
-  const std::int64_t n_out = g.tile_patches() * kC0;
+  const std::int64_t n_out = g.out_elems();
   auto in = sl.stage_in.sub(0, n_in);
   auto tmp = sl.work.sub(0, n_tmp);
   auto out = sl.out.sub(0, n_out);
@@ -315,15 +266,8 @@ void xysplit_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
       });
   sl.in_free = compute_done;
   sl.work_free = compute_done;
-  if (!db) core.pipe_barrier();
-  const Event store_done =
-      staged(core, db, Pipe::kMteOut, compute_done,
-             [&] { core.mte().copy(gm_out, out, n_out); });
-  sl.out_free = store_done;
-  if (db) {
-    core.sched().note_tile(load_done, +1);
-    core.sched().note_tile(store_done, -1);
-  }
+  sl.out_free = detail::store_tile(core, db, load_done, compute_done, gm_out,
+                                   out, n_out);
 }
 
 // Allocates one slot's worst-case buffers for `impl`. `ih_t` / `tp_max` /
@@ -368,7 +312,7 @@ Device::RunResult pooling_forward_impl(Device& dev, const ImageTable& t,
                                        Float16 init, Float16 scale,
                                        const akg::PoolPlan& plan) {
   const std::int64_t ih = t.ih, iw = t.iw;
-  const std::int64_t oh = w.out_h(ih), ow = w.out_w(iw);
+  const std::int64_t ow = w.out_w(iw);
 
   const bool db = dev.double_buffer();
 
@@ -396,21 +340,9 @@ Device::RunResult pooling_forward_impl(Device& dev, const ImageTable& t,
 
     for (std::int64_t ti = 0; ti < plan.num_h_tiles; ++ti) {
       FwdSlot& sl = slots[static_cast<std::size_t>(ti) % slots.size()];
-      const HTile ht = akg::h_tile(w, ih, oh, plan.oh_tile, ti);
-
-      TileGeom g;
-      g.w = w;
-      g.w.pt = ht.pt_eff;
-      g.w.pb = ht.pb_eff;
-      g.in_rows = ht.in_rows();
-      g.iw = iw;
-      g.oh_t = ht.out_rows();
-      g.ow = ow;
-
-      auto gm_in = img_in.sub((q * ih + ht.y0) * iw * kC0,
-                              g.in_rows * iw * kC0);
-      auto gm_out = img_out.sub((q * oh + ht.o0) * ow * kC0,
-                                g.tile_patches() * kC0);
+      const TileGeom g(w, ih, iw, plan, ti);
+      auto gm_in = g.in_slice(img_in, q);
+      auto gm_out = g.out_slice(img_out, q);
 
       switch (impl) {
         case PoolImpl::kDirect:

@@ -3,7 +3,9 @@
 // run_pool is the only path into the pooling kernels. It builds a
 // PoolLaunch -- validated descriptor and inputs, tiling plan, outputs and
 // the per-image address table -- and runs its whole block range through
-// the internal implementation drivers (pool_fwd_driver.h).
+// the internal kernel drivers (drivers.h): the forward driver, the mask
+// forward, the one backward driver for both backward kinds, and global
+// average pooling.
 #include "kernels/pooling.h"
 
 #include <algorithm>
@@ -12,7 +14,7 @@
 
 #include "common/check.h"
 #include "kernels/detail.h"
-#include "kernels/pool_fwd_driver.h"
+#include "kernels/drivers.h"
 
 namespace davinci::kernels {
 
@@ -331,9 +333,9 @@ Device::RunResult PoolLaunch::run(Device& dev, const BlockRange& r) const {
     case PoolOpKind::kMaxMaskFwd:
       return maxpool_mask_fwd_impl(dev, table_, r, w, op_.fwd, plan_);
     case PoolOpKind::kMaxBwd:
-      return maxpool_bwd_impl(dev, table_, r, w, op_.merge, plan_);
     case PoolOpKind::kAvgBwd:
-      return avgpool_bwd_impl(dev, table_, r, w, op_.merge, plan_);
+      return pooling_backward_impl(dev, table_, r, w, op_.kind, op_.merge,
+                                   plan_);
   }
   throw Error("run_pool: unknown PoolOpKind");
 }

@@ -179,6 +179,7 @@ std::vector<TraceEntry> parse_trace(const std::string& text) {
                   ": shard must be >= 0");
     }
     if (impl_auto) e.op.fwd = akg::select_fwd_impl(e.op.window);
+    e.line = lineno;
     entries.push_back(std::move(e));
   }
   return entries;

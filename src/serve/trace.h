@@ -23,6 +23,7 @@
 // a key repeated on one line are errors.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,6 +41,10 @@ struct TraceEntry {
   std::int64_t deadline_us = 0;  // 0 = no deadline
   int prio = 0;                  // shed priority (higher sheds later)
   int shard = -1;                // device pin; -1 = auto placement
+  // The 1-based line of the trace text this entry was parsed from, as an
+  // editor numbers it (comment and blank lines count); 0 for an entry
+  // not read by parse_trace.
+  std::size_t line = 0;
 };
 
 // Parses trace text; throws davinci::Error with a line number on
@@ -50,7 +55,8 @@ std::vector<TraceEntry> parse_trace(const std::string& text);
 // Geometry and window are always explicit (kh/kw/sh/sw, padding when
 // non-zero); forward kinds carry impl=, backward kinds merge=; x /
 // deadline_us / prio appear when non-default. Round-trips:
-// parse_trace(to_line(e)) yields an entry equal to `e` field by field.
+// parse_trace(to_line(e)) yields an entry equal to `e` field by field,
+// except `line` (the reparsed entry's line is its line in the new text).
 std::string to_line(const TraceEntry& e);
 
 // Reads and parses a trace file.

@@ -24,7 +24,44 @@ using kernels::run_pool;
 constexpr PoolImpl kAllImpls[] = {PoolImpl::kDirect, PoolImpl::kIm2col,
                                   PoolImpl::kExpansion, PoolImpl::kXYSplit};
 
-void expect_sandwich(const Device::RunResult& run, const char* what) {
+// Backward inputs: the square (h, h) input of two channel groups and its
+// window. 64x64 k3 s2 overlaps windows; 150x150 k3 s2 p1 is H-tiled with
+// padded edge tiles and seams; 200x200 k2 s3 (Sh > Kh) leaves input rows
+// no window reaches, which no tile stores.
+struct BwdCase {
+  std::int64_t h;
+  Window2d w;
+};
+const BwdCase kBwdCases[] = {
+    {64, Window2d::pool(3, 2)},
+    {150, Window2d{3, 3, 2, 2, 1, 1, 1, 1}},
+    {200, Window2d::pool(2, 3)},
+};
+
+// The tensors one backward case runs on, seeded from `seed`.
+struct BwdInputs {
+  std::int64_t h;
+  TensorF16 mask, grad;
+  PoolInputs max_in() const {
+    return {.mask = &mask, .grad = &grad, .ih = h, .iw = h};
+  }
+  PoolInputs avg_in() const { return {.grad = &grad, .ih = h, .iw = h}; }
+};
+
+BwdInputs make_bwd_inputs(const BwdCase& c, std::uint64_t seed) {
+  const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, c.h, c.h, seed);
+  BwdInputs b{c.h, ref::maxpool_argmax_mask(in, c.w),
+              TensorF16(Shape{1, 2, c.w.out_h(c.h), c.w.out_w(c.h), kC0})};
+  b.grad.fill_random_ints(seed + 1, 0, 5);
+  return b;
+}
+
+std::string case_name(const BwdCase& c, MergeImpl merge) {
+  return std::to_string(c.h) + "x" + std::to_string(c.h) + " " +
+         c.w.to_string() + " " + kernels::to_string(merge);
+}
+
+void expect_sandwich(const Device::RunResult& run, const std::string& what) {
   EXPECT_GE(run.device_cycles, run.busiest_unit_cycles) << what;
   EXPECT_LE(run.device_cycles, run.device_cycles_serial) << what;
   EXPECT_GT(run.device_cycles, 0) << what;
@@ -44,22 +81,18 @@ TEST(Pipelining, SandwichBoundAllForwardImpls) {
 
 TEST(Pipelining, SandwichBoundBothBackwardMerges) {
   Device dev;
-  const Window2d w = Window2d::pool(3, 2);
-  const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 64, 64, 202);
-  const TensorF16 mask = ref::maxpool_argmax_mask(in, w);
-  TensorF16 grad(Shape{1, 2, w.out_h(64), w.out_w(64), kC0});
-  grad.fill_random_ints(203, 0, 5);
-  const PoolInputs max_in{.mask = &mask, .grad = &grad, .ih = 64, .iw = 64};
-  const PoolInputs avg_in{.grad = &grad, .ih = 64, .iw = 64};
-  for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    const PoolOp max_bwd{.kind = PoolOpKind::kMaxBwd, .window = w,
-                         .merge = merge};
-    const PoolOp avg_bwd{.kind = PoolOpKind::kAvgBwd, .window = w,
-                         .merge = merge};
-    auto mr = run_pool(dev, max_bwd, max_in);
-    expect_sandwich(mr.run, kernels::to_string(merge));
-    auto ar = run_pool(dev, avg_bwd, avg_in);
-    expect_sandwich(ar.run, kernels::to_string(merge));
+  for (const BwdCase& c : kBwdCases) {
+    const BwdInputs b = make_bwd_inputs(c, 202);
+    for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
+      const PoolOp max_bwd{.kind = PoolOpKind::kMaxBwd, .window = c.w,
+                           .merge = merge};
+      const PoolOp avg_bwd{.kind = PoolOpKind::kAvgBwd, .window = c.w,
+                           .merge = merge};
+      auto mr = run_pool(dev, max_bwd, b.max_in());
+      expect_sandwich(mr.run, "maxpool_bwd " + case_name(c, merge));
+      auto ar = run_pool(dev, avg_bwd, b.avg_in());
+      expect_sandwich(ar.run, "avgpool_bwd " + case_name(c, merge));
+    }
   }
 }
 
@@ -113,26 +146,29 @@ TEST(Pipelining, BackwardOutputsBitIdenticalDoubleBufferedVsSerial) {
   Device db_dev;
   Device sb_dev;
   sb_dev.set_double_buffer(false);
-  const Window2d w = Window2d::pool(3, 2);
-  const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 64, 64, 207);
-  const TensorF16 mask = ref::maxpool_argmax_mask(in, w);
-  TensorF16 grad(Shape{1, 2, w.out_h(64), w.out_w(64), kC0});
-  grad.fill_random_ints(208, 0, 5);
-  const PoolInputs max_in{.mask = &mask, .grad = &grad, .ih = 64, .iw = 64};
-  const PoolInputs avg_in{.grad = &grad, .ih = 64, .iw = 64};
-  for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    const PoolOp max_bwd{.kind = PoolOpKind::kMaxBwd, .window = w,
-                         .merge = merge};
-    const PoolOp avg_bwd{.kind = PoolOpKind::kAvgBwd, .window = w,
-                         .merge = merge};
-    auto gm = run_pool(db_dev, max_bwd, max_in);
-    auto wm = run_pool(sb_dev, max_bwd, max_in);
-    testutil::expect_equal_f16(gm.grad_in, wm.grad_in,
-                               kernels::to_string(merge));
-    auto ga = run_pool(db_dev, avg_bwd, avg_in);
-    auto wa = run_pool(sb_dev, avg_bwd, avg_in);
-    testutil::expect_equal_f16(ga.grad_in, wa.grad_in,
-                               kernels::to_string(merge));
+  for (const BwdCase& c : kBwdCases) {
+    const BwdInputs b = make_bwd_inputs(c, 207);
+    if (c.h > 64) {  // the padded and gapped cases H-tile in both modes
+      for (const Device* dev : {&db_dev, &sb_dev}) {
+        EXPECT_TRUE(akg::plan_bwd(dev->arch(), c.w, c.h, c.h,
+                                  dev->double_buffer())
+                        .tiled())
+            << c.h;
+      }
+    }
+    for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
+      const std::string what = case_name(c, merge);
+      const PoolOp max_bwd{.kind = PoolOpKind::kMaxBwd, .window = c.w,
+                           .merge = merge};
+      const PoolOp avg_bwd{.kind = PoolOpKind::kAvgBwd, .window = c.w,
+                           .merge = merge};
+      auto gm = run_pool(db_dev, max_bwd, b.max_in());
+      auto wm = run_pool(sb_dev, max_bwd, b.max_in());
+      testutil::expect_equal_f16(gm.grad_in, wm.grad_in, what.c_str());
+      auto ga = run_pool(db_dev, avg_bwd, b.avg_in());
+      auto wa = run_pool(sb_dev, avg_bwd, b.avg_in());
+      testutil::expect_equal_f16(ga.grad_in, wa.grad_in, what.c_str());
+    }
   }
 }
 

@@ -591,6 +591,10 @@ TEST(ServeTrace, ParsesOpsGeometriesAndRepeats) {
       "op=maxpool_bwd c1=2 ih=19 iw=19 k=3 s=2 merge=col2im\n"
       "op=global_avgpool c1=4 ih=8 iw=8\n");
   ASSERT_EQ(entries.size(), 3u);
+  // Entries keep the line an editor shows: comment and blank lines count.
+  EXPECT_EQ(entries[0].line, 2u);
+  EXPECT_EQ(entries[1].line, 4u);
+  EXPECT_EQ(entries[2].line, 5u);
   EXPECT_EQ(entries[0].op.kind, PoolOpKind::kMaxFwd);
   EXPECT_EQ(entries[0].n, 2);
   EXPECT_EQ(entries[0].repeat, 3);
@@ -713,6 +717,7 @@ TEST(ServeTrace, ToLineRoundTripsThroughParse) {
     EXPECT_EQ(a.deadline_us, b.deadline_us) << "line " << i;
     EXPECT_EQ(a.prio, b.prio) << "line " << i;
     EXPECT_EQ(a.shard, b.shard) << "line " << i;
+    EXPECT_EQ(b.line, i + 1);  // its line in `text`
   }
 }
 

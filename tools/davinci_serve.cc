@@ -58,10 +58,11 @@
 //                        host_plan_ms / host_validate_ms /
 //                        host_execute_ms), which only gate a diff under
 //                        davinci_prof --include-host
-//   --metrics=<path>     schema-v6 davinci.metrics JSON: one entry per
+//   --metrics=<path>     schema-v7 davinci.metrics JSON: one entry per
 //                        trace line plus the session's "serve" object
-//                        (VM "vm" sub-object, latency histograms and the
-//                        "request_trace" ring counters)
+//                        (VM "vm" sub-object, latency histograms, the
+//                        "request_trace" ring counters and the
+//                        placement router's "cluster" object)
 //
 // Exit codes: 0 success, 2 usage, 3 trace error (unreadable, malformed,
 // or a request whose tensors cannot be materialized), 4 any request failed
@@ -357,9 +358,10 @@ int main(int argc, char** argv) {
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr,
-                   "davinci_serve: trace entry %zu (%s) cannot be "
+                   "davinci_serve: trace line %zu (%s) cannot be "
                    "materialized: %s\n",
-                   i + 1, serve::to_line(entries[i]).c_str(), e.what());
+                   entries[i].line, serve::to_line(entries[i]).c_str(),
+                   e.what());
       return 3;
     }
   }
