@@ -67,12 +67,13 @@ int main() {
   std::int64_t pool_saved = 0;
   for (std::size_t i = 0; i < standard.layers.size(); ++i) {
     const auto& a = standard.layers[i];
-    const auto& b = accel.layers[i];
+    const std::int64_t a_cycles = a.run.device_cycles;
+    const std::int64_t b_cycles = accel.layers[i].run.device_cycles;
     std::printf("%-18s %-22s %12lld %12lld\n", a.name.c_str(),
                 a.out_shape.to_string().c_str(),
-                static_cast<long long>(a.cycles),
-                static_cast<long long>(b.cycles));
-    pool_saved += a.cycles - b.cycles;
+                static_cast<long long>(a_cycles),
+                static_cast<long long>(b_cycles));
+    pool_saved += a_cycles - b_cycles;
   }
   std::printf("%s\n", std::string(68, '-').c_str());
   std::printf("%-18s %-22s %12lld %12lld\n", "total", "",

@@ -69,10 +69,6 @@ Pipeline::Result Pipeline::run(Device& dev, const TensorF16& input,
     LayerRun run;
     run.name = layer.name;
     auto note = [&](auto& r) {
-      run.cycles = r.cycles();
-      run.serial_cycles = r.run.device_cycles_serial;
-      run.host_ns = r.run.host_ns;
-      run.profile = r.run.profile;
       run.run = r.run;
       result.faults += r.run.faults;
       cur = std::move(r.out);
@@ -110,10 +106,9 @@ Pipeline::Result Pipeline::run(Device& dev, const TensorF16& input,
         break;
     }
     run.out_shape = cur.shape();
-    result.total_cycles += run.cycles;
-    result.total_serial_cycles += run.serial_cycles;
-    result.total_host_ns += run.host_ns;
-    result.profile += run.profile;
+    result.total_cycles += run.run.device_cycles;
+    result.total_serial_cycles += run.run.device_cycles_serial;
+    result.total_host_ns += run.run.host_ns;
     result.layers.push_back(std::move(run));
   }
   result.out = std::move(cur);
@@ -124,7 +119,9 @@ namespace {
 
 void append_utilization_row(std::string* out, const std::string& name,
                             std::int64_t cycles, std::int64_t serial,
-                            std::int64_t host_ns, const Profile& p) {
+                            std::int64_t host_ns, const CycleStats& stats,
+                            const ArchConfig& arch, const CostModel& cost) {
+  const Profile p(stats, arch, cost);
   auto cell = [](const UnitOccupancy& u) -> std::string {
     if (u.instrs == 0) return "-";
     char buf[16];
@@ -145,7 +142,8 @@ void append_utilization_row(std::string* out, const std::string& name,
 
 }  // namespace
 
-std::string Pipeline::Result::utilization_table() const {
+std::string Pipeline::Result::utilization_table(const ArchConfig& arch,
+                                                const CostModel& cost) const {
   std::string out;
   char header[192];
   std::snprintf(header, sizeof(header),
@@ -154,12 +152,16 @@ std::string Pipeline::Result::utilization_table() const {
                 "im2col", "col2im", "cube", "mte");
   out += header;
   out += std::string(std::strlen(header) - 1, '-') + "\n";
-  for (const LayerRun& run : layers) {
-    append_utilization_row(&out, run.name, run.cycles, run.serial_cycles,
-                           run.host_ns, run.profile);
+  CycleStats total;
+  for (const LayerRun& layer : layers) {
+    const Device::RunResult& run = layer.run;
+    append_utilization_row(&out, layer.name, run.device_cycles,
+                           run.device_cycles_serial, run.host_ns,
+                           run.aggregate, arch, cost);
+    total += run.aggregate;
   }
   append_utilization_row(&out, "total", total_cycles, total_serial_cycles,
-                         total_host_ns, profile);
+                         total_host_ns, total, arch, cost);
   return out;
 }
 

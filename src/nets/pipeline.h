@@ -47,11 +47,9 @@ class Pipeline {
   struct LayerRun {
     std::string name;
     Shape out_shape;
-    std::int64_t cycles = 0;         // overlapped makespan
-    std::int64_t serial_cycles = 0;  // same instructions charged in order
-    std::int64_t host_ns = 0;        // host wall-clock of the device run
-    Profile profile;  // per-instruction occupancy, merged over cores
-    Device::RunResult run;  // full counters (traffic, attribution, ...)
+    // The layer's device run: device_cycles (overlapped makespan),
+    // device_cycles_serial, host_ns, the aggregate counters, attribution.
+    Device::RunResult run;
   };
 
   struct Result {
@@ -60,15 +58,16 @@ class Pipeline {
     std::int64_t total_cycles = 0;
     std::int64_t total_serial_cycles = 0;
     std::int64_t total_host_ns = 0;
-    Profile profile;    // summed over layers
     FaultStats faults;  // summed over layers; all-zero without injection
 
     // Per-layer utilization table (one row per layer plus a total row):
     // overlapped and serial cycles, host wall-clock, mean vector-lane
     // utilization, fraction of full-mask vector instructions, and SCU /
     // MTE occupancy -- the quantities Section V of the paper reasons
-    // about, per layer.
-    std::string utilization_table() const;
+    // about, per layer. `arch` and `cost` are the configuration of the
+    // device the pipeline ran on (see Profile).
+    std::string utilization_table(const ArchConfig& arch,
+                                  const CostModel& cost) const;
 
     // Appends one MetricsRegistry entry per layer (named after the
     // layer), so a pipeline run lands in the same --metrics JSON schema

@@ -172,8 +172,8 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
   launch.redistribution_cycles = scatter_leg + gather_leg;
 
   // The slowest shard bounds the compute leg; its run carries the
-  // launch's attribution/profile while summable counters aggregate over
-  // all shards.
+  // launch's attribution while summable counters aggregate over all
+  // shards.
   std::size_t critical = 0;
   std::int64_t compute_max = 0, serial_max = 0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -191,7 +191,6 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
     if (i == critical) continue;
     const Device::RunResult& rr = runs[i].run;
     agg.aggregate += rr.aggregate;
-    agg.profile += rr.profile;
     agg.faults += rr.faults;
     agg.host_ns += rr.host_ns;
     agg.host_alloc_ns += rr.host_alloc_ns;

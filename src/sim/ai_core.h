@@ -1,5 +1,6 @@
 // One DaVinci AI Core (Figure 4): Cube, Vector and Scalar units, the SCU,
-// and the private scratch-pad buffers, with a shared cycle ledger.
+// and the private scratch-pad buffers, with one cycle ledger (sim/ledger.h)
+// that every unit books its instructions into.
 //
 // Kernels (src/kernels/) are written against this class the way CCE-C
 // kernels are written against the hardware ISA: explicit buffer
@@ -16,12 +17,10 @@
 #include "common/float16.h"
 #include "sim/cube_unit.h"
 #include "sim/fault.h"
+#include "sim/ledger.h"
 #include "sim/mte.h"
-#include "sim/pipe_schedule.h"
 #include "sim/scratch.h"
 #include "sim/scu.h"
-#include "sim/stats.h"
-#include "sim/trace.h"
 #include "sim/vector_unit.h"
 
 namespace davinci {
@@ -36,10 +35,7 @@ class AiCore {
   int id() const { return id_; }
   const ArchConfig& arch() const { return arch_; }
   const CostModel& cost() const { return cost_; }
-  CycleStats& stats() { return stats_; }
-  // Per-instruction occupancy counters (always recorded; see sim/stats.h).
-  Profile& profile() { return profile_; }
-  const Profile& profile() const { return profile_; }
+  CycleStats& stats() { return ledger_.stats; }
 
   ScratchBuffer& l1() { return l1_; }
   ScratchBuffer& l0a() { return l0a_; }
@@ -53,13 +49,13 @@ class AiCore {
   CubeUnit& cube() { return cube_; }
 
   // Optional instruction trace (disabled by default; see sim/trace.h).
-  Trace& trace() { return trace_; }
+  Trace& trace() { return ledger_.trace; }
 
   // Pipe-overlap timeline of this core (see sim/pipe_schedule.h). Every
   // charged cost is placed on it; kernels that never open a stage keep a
   // makespan equal to their serial cycle total.
-  PipeScheduler& sched() { return sched_; }
-  const PipeScheduler& sched() const { return sched_; }
+  PipeScheduler& sched() { return ledger_.sched; }
+  const PipeScheduler& sched() const { return ledger_.sched; }
 
   // Opens a pipelined stage on `pipe`: until end_stage(), every cost this
   // core charges queues on that pipe in issue order, starting no earlier
@@ -80,11 +76,7 @@ class AiCore {
   // Overwrites every scratch buffer with `pattern` (see
   // ScratchBuffer::scrub); a host-side simulation step, charges no cycles.
   void scrub_scratch(std::byte pattern);
-  void reset_stats() {
-    stats_ = CycleStats{};
-    profile_ = Profile{};
-    sched_.reset();
-  }
+  void reset_stats() { ledger_.reset(); }
 
   // Attaches (or detaches, with nullptr) a fault-injection stream to this
   // core and all its units. Device::run arms one for each used core of a
@@ -123,10 +115,7 @@ class AiCore {
   int id_;
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
-  Profile profile_;
-  Trace trace_;
-  PipeScheduler sched_;
+  CoreLedger ledger_;
   CoreFaultState* fault_ = nullptr;
 
   ScratchBuffer l1_;

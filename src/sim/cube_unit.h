@@ -12,23 +12,17 @@
 
 #include <cstdint>
 
-#include "arch/arch_config.h"
 #include "arch/cost_model.h"
 #include "common/float16.h"
+#include "sim/ledger.h"
 #include "sim/scratch.h"
-#include "sim/pipe_schedule.h"
-#include "sim/stats.h"
-#include "sim/trace.h"
 
 namespace davinci {
 
 class CubeUnit {
  public:
-  CubeUnit(const ArchConfig& arch, const CostModel& cost, CycleStats* stats,
-           Trace* trace = nullptr, Profile* profile = nullptr,
-           PipeScheduler* sched = nullptr)
-      : arch_(arch), cost_(cost), stats_(stats), trace_(trace),
-        profile_(profile), sched_(sched) {}
+  CubeUnit(const CostModel& cost, CoreLedger& ledger)
+      : cost_(cost), ledger_(ledger) {}
 
   // C (+)= A x B on fractal-tiled operands:
   //   A: L0A, (m_frac x k_frac) fractals, each 16x16 row-major
@@ -44,12 +38,8 @@ class CubeUnit {
             bool accumulate, bool a_k_major = false);
 
  private:
-  const ArchConfig& arch_;
   const CostModel& cost_;
-  CycleStats* stats_;
-  Trace* trace_;
-  Profile* profile_;
-  PipeScheduler* sched_ = nullptr;
+  CoreLedger& ledger_;
 };
 
 }  // namespace davinci

@@ -198,7 +198,6 @@ Device::RunResult Device::collect_result(int cores_used) {
     const std::int64_t makespan = core.sched().makespan();
     result.core_cycles[static_cast<std::size_t>(c)] = makespan;
     result.aggregate += s;
-    result.profile += core.profile();
     result.device_cycles = std::max(result.device_cycles, makespan);
     result.device_cycles_serial =
         std::max(result.device_cycles_serial, s.total_cycles());

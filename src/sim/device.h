@@ -104,7 +104,6 @@ class Device {
     std::int64_t host_validate_ns = 0;  // descriptor/shape checks
     std::int64_t host_execute_ns = 0;   // inside Device::run
     CycleStats aggregate;                 // sum over used cores
-    Profile profile;                      // occupancy, merged over used cores
     std::vector<std::int64_t> core_cycles;  // per-core overlapped makespan
     int cores_used = 0;
     FaultStats faults;                    // all-zero outside resilient runs

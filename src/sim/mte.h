@@ -13,19 +13,15 @@
 #include "common/check.h"
 #include "common/float16.h"
 #include "sim/fault.h"
-#include "sim/pipe_schedule.h"
+#include "sim/ledger.h"
 #include "sim/scratch.h"
-#include "sim/stats.h"
-#include "sim/trace.h"
 
 namespace davinci {
 
 class Mte {
  public:
-  Mte(const CostModel& cost, CycleStats* stats, Trace* trace = nullptr,
-      Profile* profile = nullptr, PipeScheduler* sched = nullptr)
-      : cost_(cost), stats_(stats), trace_(trace), profile_(profile),
-        sched_(sched) {}
+  Mte(const CostModel& cost, CoreLedger& ledger)
+      : cost_(cost), ledger_(ledger) {}
 
   // Attaches/detaches the core's fault stream (resilient runs only).
   void set_fault_state(CoreFaultState* fault) { fault_ = fault; }
@@ -185,7 +181,7 @@ class Mte {
   // src/dst buffer pair (see allowed() for the legal paths).
   void route_bytes(BufferKind src, BufferKind dst, std::int64_t bytes) {
     using B = BufferKind;
-    MemTraffic& t = stats_->traffic;
+    MemTraffic& t = ledger_.stats.traffic;
     if (src == B::kGlobal) {
       (dst == B::kL1 ? t.gm_to_l1 : t.gm_to_ub) += bytes;
     } else if (dst == B::kGlobal) {
@@ -201,42 +197,28 @@ class Mte {
 
   void charge(BufferKind src, BufferKind dst, std::int64_t bytes,
               std::int64_t bursts) {
-    stats_->mte_transfers += 1;
-    stats_->mte_bytes += bytes;
+    CycleStats& s = ledger_.stats;
+    s.mte_transfers += 1;
+    s.mte_bytes += bytes;
     route_bytes(src, dst, bytes);
     const std::int64_t cycles = cost_.mte_copy(bytes, bursts);
-    stats_->mte_cycles += cycles;
+    // Payload bandwidth cycles: the part of the transfer time not spent on
+    // startup latency or per-burst (strided-row) overhead.
+    const std::int64_t payload = ceil_div(bytes, cost_.mte_bytes_per_cycle);
+    s.mte_payload_cycles += payload;
     // A transfer landing in global memory is an MTE-out (store) interval
     // on the overlap timeline; everything else feeds the compute side.
-    std::int64_t start = -1;
-    if (sched_) {
-      const Pipe pipe =
-          dst == BufferKind::kGlobal ? Pipe::kMteOut : Pipe::kMteIn;
-      start = sched_->issue(pipe, cycles).start;
-    }
-    // Occupancy: payload bandwidth cycles vs charged cycles -- the
-    // fraction of the transfer time not spent on startup latency or
-    // per-burst (strided-row) overhead.
-    const std::int64_t payload = ceil_div(bytes, cost_.mte_bytes_per_cycle);
-    if (profile_) {
-      profile_->mte.instrs += 1;
-      profile_->mte.slots_used += payload;
-      profile_->mte.slots_capacity += cycles;
-    }
-    if (trace_ && trace_->enabled()) {
-      trace_->record(TraceKind::kMte,
-                     std::string(to_string(src)) + "->" + to_string(dst) +
-                         " bytes=" + std::to_string(bytes) +
-                         " bursts=" + std::to_string(bursts),
-                     cycles, payload, cycles, start);
-    }
+    ledger_.book(s.mte_cycles,
+                 dst == BufferKind::kGlobal ? Pipe::kMteOut : Pipe::kMteIn,
+                 cycles, TraceKind::kMte, payload, cycles, [&] {
+                   return std::string(to_string(src)) + "->" +
+                          to_string(dst) + " bytes=" + std::to_string(bytes) +
+                          " bursts=" + std::to_string(bursts);
+                 });
   }
 
   const CostModel& cost_;
-  CycleStats* stats_;
-  Trace* trace_;
-  Profile* profile_ = nullptr;
-  PipeScheduler* sched_ = nullptr;
+  CoreLedger& ledger_;
   CoreFaultState* fault_ = nullptr;
 };
 

@@ -326,11 +326,39 @@ struct DiffWalker {
     return it == opts.per_metric.end() ? opts.tol : it->second;
   }
 
+  // host_* fields, and everything nested in one, are wall-clock.
+  bool skipped(const std::string& key) const {
+    return host_metric(key) && !opts.include_host;
+  }
+
+  // The field name a path ends in ("rows[x].cycles" -> "cycles").
+  static std::string key_of(const std::string& path) {
+    const std::size_t dot = path.find_last_of('.');
+    return dot == std::string::npos ? path : path.substr(dot + 1);
+  }
+
   void note(const std::string& line) { result.report += line + "\n"; }
+
+  void regress(const std::string& line) {
+    result.regressed = true;
+    result.regressions += 1;
+    note("REGRESSION " + line);
+  }
+
+  // A non-numeric difference (shape, string or bool) of field `key`:
+  // informational, unless the field is compared at an exact tolerance.
+  void differ(const std::string& key, const std::string& tag,
+              const std::string& line) {
+    if (skipped(key)) return;  // a host_* field missing in the candidate
+    if (tolerance_for(key) == 0.0) {
+      regress(line + " (tol 0 is exact)");
+    } else {
+      note(tag + line);
+    }
+  }
 
   void compare_number(const std::string& path, const std::string& key,
                       const json::Value& a, const json::Value& b) {
-    if (host_metric(key) && !opts.include_host) return;
     result.compared += 1;
     const double av = a.as_double();
     const double bv = b.as_double();
@@ -340,40 +368,38 @@ struct DiffWalker {
     const double delta = bv - av;
     const double rel = base > 0.0 ? delta / base : (delta > 0 ? 1e9 : -1e9);
     const bool beyond = std::abs(delta) > base * tol;
-    if (gated_metric(key) || (host_metric(key) && opts.include_host)) {
-      if (delta > 0 && beyond) {
-        result.regressed = true;
-        result.regressions += 1;
-        note("REGRESSION " + path + ": " + fmt_num(a) + " -> " + fmt_num(b) +
-             " (" + fmt(rel * 100.0) + "% > tol " + fmt(tol * 100.0) + "%)");
-      } else if (beyond) {
-        note("improved   " + path + ": " + fmt_num(a) + " -> " + fmt_num(b) +
-             " (" + fmt(rel * 100.0) + "%)");
-      }
+    const bool gated =
+        gated_metric(key) || (host_metric(key) && opts.include_host);
+    const std::string change = path + ": " + fmt_num(a) + " -> " +
+                               fmt_num(b) + " (" + fmt(rel * 100.0) + "%";
+    // A zero tolerance is an exact gate: any difference regresses, in
+    // either direction, gated field or not.
+    if (tol == 0.0) {
+      regress(change + ", tol 0 is exact)");
+    } else if (gated && delta > 0 && beyond) {
+      regress(change + " > tol " + fmt(tol * 100.0) + "%)");
     } else if (beyond) {
-      note("changed    " + path + ": " + fmt_num(a) + " -> " + fmt_num(b) +
-           " (" + fmt(rel * 100.0) + "%)");
+      note((gated ? "improved   " : "changed    ") + change + ")");
     }
   }
 
   void compare(const std::string& path, const json::Value& a,
                const json::Value& b) {
+    const std::string key = key_of(path);
+    if (skipped(key)) return;
     if (a.is_number() && b.is_number()) {
-      const std::size_t slash = path.find_last_of('.');
-      const std::string key =
-          slash == std::string::npos ? path : path.substr(slash + 1);
       compare_number(path, key, a, b);
       return;
     }
     if (a.kind() != b.kind()) {
-      note("shape      " + path + ": value kind changed");
+      differ(key, "shape      ", path + ": value kind changed");
       return;
     }
     if (a.is_object()) {
       for (const auto& [k, av] : a.as_object()) {
         const json::Value* bv = b.get(k);
         if (bv == nullptr) {
-          note("shape      " + path + "." + k + ": missing in candidate");
+          differ(k, "shape      ", path + "." + k + ": missing in candidate");
           continue;
         }
         compare(path.empty() ? k : path + "." + k, av, *bv);
@@ -390,8 +416,9 @@ struct DiffWalker {
       const json::Array& aa = a.as_array();
       const json::Array& ba = b.as_array();
       if (aa.size() != ba.size()) {
-        note("shape      " + path + ": array length " +
-             std::to_string(aa.size()) + " -> " + std::to_string(ba.size()));
+        differ(key, "shape      ",
+               path + ": array length " + std::to_string(aa.size()) +
+                   " -> " + std::to_string(ba.size()));
       }
       const std::size_t n = aa.size() < ba.size() ? aa.size() : ba.size();
       for (std::size_t i = 0; i < n; ++i) {
@@ -400,11 +427,12 @@ struct DiffWalker {
       return;
     }
     if (a.is_string() && a.as_string() != b.as_string()) {
-      note("changed    " + path + ": '" + a.as_string() + "' -> '" +
-           b.as_string() + "'");
+      differ(key, "changed    ",
+             path + ": '" + a.as_string() + "' -> '" + b.as_string() + "'");
     } else if (a.is_bool() && a.as_bool() != b.as_bool()) {
-      note("changed    " + path + ": " + (a.as_bool() ? "true" : "false") +
-           " -> " + (b.as_bool() ? "true" : "false"));
+      differ(key, "changed    ",
+             path + ": " + (a.as_bool() ? "true" : "false") + " -> " +
+                 (b.as_bool() ? "true" : "false"));
     }
   }
 

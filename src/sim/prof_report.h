@@ -15,8 +15,13 @@
 // diff reports a regression and the tool exits nonzero. All other numeric
 // fields are informational -- drifts beyond tolerance are listed but do
 // not fail the build (byte counts and occupancies have no universal
-// "worse" direction). host_* fields are skipped entirely unless
-// opts.include_host: wall-clock is not deterministic, cycle counts are.
+// "worse" direction). A tolerance of exactly 0 is an exact gate instead:
+// any difference of a field compared at tolerance 0 -- a number up or
+// down, a changed string or bool, a missing field or a changed array
+// length -- is a regression, gated field or not (a field new in the
+// candidate stays informational). host_* fields, with everything nested
+// in them, are skipped entirely unless opts.include_host: wall-clock is
+// not deterministic, cycle counts are.
 #pragma once
 
 #include <map>
@@ -30,7 +35,7 @@ namespace davinci {
 std::string render_report(const json::Value& doc);
 
 struct DiffOptions {
-  double tol = 0.05;  // default relative tolerance
+  double tol = 0.05;  // default relative tolerance; 0 = exact
   // Per-metric overrides, keyed by field name (e.g. "cycles": 0.0).
   std::map<std::string, double> per_metric;
   bool include_host = false;  // also gate host_* wall-clock fields

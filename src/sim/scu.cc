@@ -43,6 +43,27 @@ void Scu::maybe_fault_result(Span<Float16> dst, std::int64_t elems) {
   fault_->on_scu_result(bytes, elems * 2);
 }
 
+void Scu::charge(TraceKind kind, const char* label, std::int64_t runs,
+                 std::int64_t run_fractals, std::int64_t bytes) {
+  const std::int64_t instrs = runs * ceil_div(run_fractals, arch_.max_repeat);
+  const std::int64_t fractals = runs * run_fractals;
+  const std::int64_t saturated = runs * (run_fractals / arch_.max_repeat);
+  CycleStats& s = ledger_.stats;
+  const bool load = kind == TraceKind::kIm2col;
+  (load ? s.im2col_instrs : s.col2im_instrs) += instrs;
+  (load ? s.im2col_fractals : s.col2im_fractals) += fractals;
+  (load ? s.im2col_saturated_instrs : s.col2im_saturated_instrs) += saturated;
+  (load ? s.traffic.im2col_bytes : s.traffic.col2im_bytes) += bytes;
+  const std::int64_t cycles = load ? cost_.im2col(instrs, fractals)
+                                   : cost_.col2im(instrs, fractals);
+  ledger_.book(s.scu_cycles, Pipe::kScu, cycles, kind, fractals,
+               instrs * arch_.max_repeat, [&] {
+                 return std::string(label) + "instrs=" +
+                        std::to_string(instrs) +
+                        " fractals=" + std::to_string(fractals);
+               });
+}
+
 void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
                       const Im2colArgs& args) {
   args.validate();
@@ -106,33 +127,11 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
 
   // Timing: in repeat mode 1 one instruction covers up to max_repeat
   // fractals of one (c1, xk, yk) plane; changing (xk, yk) needs a new
-  // instruction (Section III-C).
-  const std::int64_t instrs_per_plane =
-      ceil_div(fractals_per_plane, arch_.max_repeat);
-  const std::int64_t instrs = w.kh * w.kw * instrs_per_plane;
-  const std::int64_t fractals = w.kh * w.kw * fractals_per_plane;
-  stats_->im2col_instrs += instrs;
-  stats_->im2col_fractals += fractals;
-  // Fractal bytes written to the destination buffer (the L1 -> UB route
-  // the paper's Im2Col pooling formulation rides).
-  stats_->traffic.im2col_bytes += args.output_elems() * 2;
-  if (profile_) {
-    profile_->im2col.instrs += instrs;
-    profile_->im2col.slots_used += fractals;
-    profile_->im2col.slots_capacity += instrs * arch_.max_repeat;
-    profile_->im2col.saturated_instrs +=
-        w.kh * w.kw * (fractals_per_plane / arch_.max_repeat);
-  }
-  const std::int64_t cycles = cost_.im2col(instrs, fractals);
-  stats_->scu_cycles += cycles;
-  std::int64_t start = -1;
-  if (sched_) start = sched_->issue(Pipe::kScu, cycles).start;
-  if (trace_ && trace_->enabled()) {
-    trace_->record(TraceKind::kIm2col,
-                   "mode1 instrs=" + std::to_string(instrs) +
-                       " fractals=" + std::to_string(fractals),
-                   cycles, fractals, instrs * arch_.max_repeat, start);
-  }
+  // instruction (Section III-C). Payload: the fractal bytes written to the
+  // destination buffer (the L1 -> UB route the paper's Im2Col pooling
+  // formulation rides).
+  charge(TraceKind::kIm2col, "mode1 ", w.kh * w.kw, fractals_per_plane,
+         args.output_elems() * 2);
   maybe_fault_result(dst, args.output_elems());
 }
 
@@ -182,28 +181,7 @@ void Scu::im2col_load_mode0(Span<Float16> dst, Span<Float16> src,
   // Timing: in mode 0 one instruction iterates (xk, yk) for a fixed
   // 16-patch group; changing the group needs a new instruction
   // (Section III-C: "multiple Im2Col are needed to also change (x, y)").
-  const std::int64_t instrs_per_group = ceil_div(kk, arch_.max_repeat);
-  const std::int64_t instrs = groups * instrs_per_group;
-  const std::int64_t fractals = groups * kk;
-  stats_->im2col_instrs += instrs;
-  stats_->im2col_fractals += fractals;
-  stats_->traffic.im2col_bytes += args.output_elems() * 2;
-  if (profile_) {
-    profile_->im2col.instrs += instrs;
-    profile_->im2col.slots_used += fractals;
-    profile_->im2col.slots_capacity += instrs * arch_.max_repeat;
-    profile_->im2col.saturated_instrs += groups * (kk / arch_.max_repeat);
-  }
-  const std::int64_t cycles = cost_.im2col(instrs, fractals);
-  stats_->scu_cycles += cycles;
-  std::int64_t start = -1;
-  if (sched_) start = sched_->issue(Pipe::kScu, cycles).start;
-  if (trace_ && trace_->enabled()) {
-    trace_->record(TraceKind::kIm2col,
-                   "mode0 instrs=" + std::to_string(instrs) +
-                       " fractals=" + std::to_string(fractals),
-                   cycles, fractals, instrs * arch_.max_repeat, start);
-  }
+  charge(TraceKind::kIm2col, "mode0 ", groups, kk, args.output_elems() * 2);
   maybe_fault_result(dst, args.output_elems());
 }
 
@@ -259,33 +237,11 @@ void Scu::col2im(Span<Float16> out, Span<Float16> src, const Im2colArgs& args) {
 
   // Timing: Col2Im only has repeat mode 1 (Section III-D), so as with the
   // transposed Im2Col one instruction covers up to max_repeat fractals of
-  // one (xk, yk) plane.
-  const std::int64_t instrs_per_plane =
-      ceil_div(fractals_per_plane, arch_.max_repeat);
-  const std::int64_t instrs = w.kh * w.kw * instrs_per_plane;
-  const std::int64_t fractals = w.kh * w.kw * fractals_per_plane;
-  stats_->col2im_instrs += instrs;
-  stats_->col2im_fractals += fractals;
-  // Gradient fractal bytes consumed from the UB column buffer (the
-  // UB -> UB scatter-accumulate route of Figure 6).
-  stats_->traffic.col2im_bytes += args.output_elems() * 2;
-  if (profile_) {
-    profile_->col2im.instrs += instrs;
-    profile_->col2im.slots_used += fractals;
-    profile_->col2im.slots_capacity += instrs * arch_.max_repeat;
-    profile_->col2im.saturated_instrs +=
-        w.kh * w.kw * (fractals_per_plane / arch_.max_repeat);
-  }
-  const std::int64_t cycles = cost_.col2im(instrs, fractals);
-  stats_->scu_cycles += cycles;
-  std::int64_t start = -1;
-  if (sched_) start = sched_->issue(Pipe::kScu, cycles).start;
-  if (trace_ && trace_->enabled()) {
-    trace_->record(TraceKind::kCol2im,
-                   "instrs=" + std::to_string(instrs) +
-                       " fractals=" + std::to_string(fractals),
-                   cycles, fractals, instrs * arch_.max_repeat, start);
-  }
+  // one (xk, yk) plane. Payload: the gradient fractal bytes consumed from
+  // the UB column buffer (the UB -> UB scatter-accumulate route of
+  // Figure 6).
+  charge(TraceKind::kCol2im, "", w.kh * w.kw, fractals_per_plane,
+         args.output_elems() * 2);
   maybe_fault_result(out, args.input_elems());
 }
 

@@ -28,10 +28,8 @@
 #include "common/align.h"
 #include "common/float16.h"
 #include "sim/fault.h"
+#include "sim/ledger.h"
 #include "sim/scratch.h"
-#include "sim/pipe_schedule.h"
-#include "sim/stats.h"
-#include "sim/trace.h"
 #include "tensor/fractal.h"
 #include "tensor/pool_geometry.h"
 
@@ -69,11 +67,8 @@ struct Im2colArgs {
 
 class Scu {
  public:
-  Scu(const ArchConfig& arch, const CostModel& cost, CycleStats* stats,
-      Trace* trace = nullptr, Profile* profile = nullptr,
-      PipeScheduler* sched = nullptr)
-      : arch_(arch), cost_(cost), stats_(stats), trace_(trace),
-        profile_(profile), sched_(sched) {}
+  Scu(const ArchConfig& arch, const CostModel& cost, CoreLedger& ledger)
+      : arch_(arch), cost_(cost), ledger_(ledger) {}
 
   // Attaches/detaches the core's fault stream (resilient runs only).
   void set_fault_state(CoreFaultState* fault) { fault_ = fault; }
@@ -107,12 +102,17 @@ class Scu {
   // site-specific fractal corruption.
   void maybe_fault_result(Span<Float16> dst, std::int64_t elems);
 
+  // Books Im2Col (kind kIm2col) or Col2Im (kCol2im) work: `runs` runs of
+  // `run_fractals` fractals each, a run being what one instruction's
+  // repeat parameter may iterate (split into max_repeat-fractal
+  // instructions), moving `bytes` of fractal payload in all. `label`
+  // prefixes the trace event's text.
+  void charge(TraceKind kind, const char* label, std::int64_t runs,
+              std::int64_t run_fractals, std::int64_t bytes);
+
   const ArchConfig& arch_;
   const CostModel& cost_;
-  CycleStats* stats_;
-  Trace* trace_;
-  Profile* profile_;
-  PipeScheduler* sched_ = nullptr;
+  CoreLedger& ledger_;
   CoreFaultState* fault_ = nullptr;
 };
 

@@ -7,116 +7,14 @@
 // mask saturation, the quantities Section V reasons about).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
+#include "arch/arch_config.h"
+#include "arch/cost_model.h"
+
 namespace davinci {
-
-// Occupancy ledger of one execution unit: how full each issue was relative
-// to what the unit could have done in the same issue. The slot currency is
-// unit-specific (see Profile below); the ratio slots_used / slots_capacity
-// is always "fraction of the unit's capacity doing useful work".
-struct UnitOccupancy {
-  std::int64_t instrs = 0;           // instructions issued
-  std::int64_t slots_used = 0;       // occupied slots, summed over instrs
-  std::int64_t slots_capacity = 0;   // available slots, summed over instrs
-  std::int64_t saturated_instrs = 0; // instrs issued at full occupancy
-
-  // Mean fraction of the unit's slots doing useful work (0 when idle).
-  double occupancy() const {
-    if (slots_capacity == 0) return 0.0;
-    return static_cast<double>(slots_used) /
-           static_cast<double>(slots_capacity);
-  }
-
-  // Fraction of instructions issued at full occupancy (0 when idle).
-  double saturation() const {
-    if (instrs == 0) return 0.0;
-    return static_cast<double>(saturated_instrs) /
-           static_cast<double>(instrs);
-  }
-
-  UnitOccupancy& operator+=(const UnitOccupancy& o) {
-    instrs += o.instrs;
-    slots_used += o.slots_used;
-    slots_capacity += o.slots_capacity;
-    saturated_instrs += o.saturated_instrs;
-    return *this;
-  }
-};
-
-// Per-instruction utilization breakdown of one AI Core (merged over cores
-// in Device::RunResult). This is the paper's Section V evidence in counter
-// form: direct pooling issues Oh*Ow*Kh vector instructions at 16 of 128
-// lanes, the Im2col formulation issues Kh*Kw at 128 of 128 -- `vec`
-// measures exactly that. Slot currencies:
-//
-//   vec     lanes: used = active mask lanes per repeat iteration,
-//           capacity = 128 per repeat iteration; saturated = full mask.
-//   im2col/ fractals: used = fractals covered, capacity = max_repeat per
-//   col2im  instruction; saturated = instruction carrying max_repeat
-//           fractals (the repeat parameter fully absorbing the loop).
-//   cube    busy cycles: used = fractal-MAC cycles, capacity = charged
-//           cycles including issue overhead (amortization; no
-//           architectural full mark, saturated stays 0).
-//   mte     busy cycles: used = payload bandwidth cycles, capacity =
-//           charged cycles including startup and per-burst costs
-//           (achieved-bandwidth fraction; saturated stays 0).
-struct Profile {
-  // Histogram of the per-instruction active-lane count of the Vector
-  // Unit, in eight 16-lane buckets: bucket 0 counts instructions with
-  // 1..16 active lanes, bucket 7 counts 113..128 (the saturated bucket).
-  static constexpr int kLaneBuckets = 8;
-
-  UnitOccupancy vec;
-  UnitOccupancy im2col;
-  UnitOccupancy col2im;
-  UnitOccupancy cube;
-  UnitOccupancy mte;
-  std::int64_t vec_lane_hist[kLaneBuckets] = {};
-
-  void count_vec_instr(int lanes, int total_lanes, std::int64_t repeat) {
-    vec.instrs += 1;
-    vec.slots_used += static_cast<std::int64_t>(lanes) * repeat;
-    vec.slots_capacity += static_cast<std::int64_t>(total_lanes) * repeat;
-    if (lanes == total_lanes) vec.saturated_instrs += 1;
-    if (lanes > 0) {
-      int bucket = (lanes - 1) / 16;
-      if (bucket >= kLaneBuckets) bucket = kLaneBuckets - 1;
-      vec_lane_hist[bucket] += 1;
-    }
-  }
-
-  // The paper's headline metric: mean fraction of the 128 vector lanes
-  // doing useful work per repeat iteration.
-  double vec_lane_utilization() const { return vec.occupancy(); }
-
-  Profile& operator+=(const Profile& o) {
-    vec += o.vec;
-    im2col += o.im2col;
-    col2im += o.col2im;
-    cube += o.cube;
-    mte += o.mte;
-    for (int i = 0; i < kLaneBuckets; ++i) {
-      vec_lane_hist[i] += o.vec_lane_hist[i];
-    }
-    return *this;
-  }
-
-  std::string summary() const {
-    auto pct = [](double v) {
-      return std::to_string(static_cast<int>(v * 100.0 + 0.5)) + "%";
-    };
-    std::string s;
-    s += "vec=" + pct(vec.occupancy()) + " (sat " + pct(vec.saturation()) +
-         " of " + std::to_string(vec.instrs) + " instr)";
-    s += " im2col=" + pct(im2col.occupancy());
-    s += " col2im=" + pct(col2im.occupancy());
-    s += " cube=" + pct(cube.occupancy());
-    s += " mte=" + pct(mte.occupancy());
-    return s;
-  }
-};
 
 // Bytes moved per architectural route, charged at the same sites as the
 // cycle costs (Mte::charge by src/dst buffer kind, Scu for the fractal
@@ -168,6 +66,10 @@ struct MemTraffic {
 };
 
 struct CycleStats {
+  // Histogram buckets of the per-instruction active-lane count (see
+  // vector_lane_hist).
+  static constexpr int kLaneBuckets = 8;
+
   // Cycles by pipe. The simulator executes a single in-order timeline, so
   // total_cycles is the sum of the pipe cycles plus barrier costs; the
   // breakdown attributes each instruction to the unit that executed it.
@@ -183,17 +85,42 @@ struct CycleStats {
   std::int64_t vector_instrs = 0;
   std::int64_t vector_repeats = 0;       // total repeat iterations executed
   std::int64_t vector_active_lanes = 0;  // sum of active mask lanes / repeat
+  std::int64_t vector_saturated_instrs = 0;  // issued with a full mask
+  // Vector instructions by active-lane count, in eight 16-lane buckets:
+  // bucket 0 counts 1..16 active lanes, bucket 7 counts 113..128.
+  std::int64_t vector_lane_hist[kLaneBuckets] = {};
   std::int64_t mte_transfers = 0;
   std::int64_t mte_bytes = 0;
+  // Cycles the MTE spent moving payload: mte_cycles minus the startup and
+  // per-burst costs (each transfer's bytes / bandwidth, rounded up).
+  std::int64_t mte_payload_cycles = 0;
   std::int64_t im2col_instrs = 0;
   std::int64_t im2col_fractals = 0;
+  std::int64_t im2col_saturated_instrs = 0;  // carrying max_repeat fractals
   std::int64_t col2im_instrs = 0;
   std::int64_t col2im_fractals = 0;
+  std::int64_t col2im_saturated_instrs = 0;  // carrying max_repeat fractals
   std::int64_t cube_instrs = 0;
   std::int64_t cube_fractal_macs = 0;
 
   // Bytes moved per route (see MemTraffic above).
   MemTraffic traffic;
+
+  // Counts one Vector Unit instruction of `repeat` iterations with `lanes`
+  // of the unit's `total_lanes` active.
+  void count_vector_instr(int lanes, int total_lanes, std::int64_t repeat) {
+    const std::int64_t active = static_cast<std::int64_t>(lanes) * repeat;
+    vector_instrs += 1;
+    vector_repeats += repeat;
+    vector_active_lanes += active;
+    // UB operand traffic: two bytes per active lane per repeat iteration --
+    // the roofline's compute-side byte count.
+    traffic.ub_vector_bytes += active * 2;
+    if (lanes == total_lanes) vector_saturated_instrs += 1;
+    if (lanes > 0) {
+      vector_lane_hist[std::min((lanes - 1) / 16, kLaneBuckets - 1)] += 1;
+    }
+  }
 
   std::int64_t total_cycles() const {
     return vector_cycles + scalar_cycles + mte_cycles + scu_cycles +
@@ -203,8 +130,8 @@ struct CycleStats {
   // Optimistic pipe-overlap bound: real DaVinci pipes (Vector+Scalar,
   // MTE, SCU, Cube) run concurrently between synchronization points, so
   // a perfectly double-buffered schedule is bounded below by the busiest
-  // pipe. The A5 ablation uses this to show the reproduced orderings do
-  // not depend on the serial-timeline simplification.
+  // pipe. Device::RunResult reports its per-core maximum as
+  // device_cycles_pipelined (the bench rows' pipelined_bound).
   std::int64_t pipelined_cycles() const {
     const std::int64_t compute = vector_cycles + scalar_cycles;
     std::int64_t busiest = compute;
@@ -233,12 +160,19 @@ struct CycleStats {
     vector_instrs += o.vector_instrs;
     vector_repeats += o.vector_repeats;
     vector_active_lanes += o.vector_active_lanes;
+    vector_saturated_instrs += o.vector_saturated_instrs;
+    for (int i = 0; i < kLaneBuckets; ++i) {
+      vector_lane_hist[i] += o.vector_lane_hist[i];
+    }
     mte_transfers += o.mte_transfers;
     mte_bytes += o.mte_bytes;
+    mte_payload_cycles += o.mte_payload_cycles;
     im2col_instrs += o.im2col_instrs;
     im2col_fractals += o.im2col_fractals;
+    im2col_saturated_instrs += o.im2col_saturated_instrs;
     col2im_instrs += o.col2im_instrs;
     col2im_fractals += o.col2im_fractals;
+    col2im_saturated_instrs += o.col2im_saturated_instrs;
     cube_instrs += o.cube_instrs;
     cube_fractal_macs += o.cube_fractal_macs;
     traffic += o.traffic;
@@ -257,6 +191,90 @@ struct CycleStats {
     s += " launch=" + std::to_string(launch_cycles) + ")";
     s += " vinstr=" + std::to_string(vector_instrs);
     s += " lane_util=" + std::to_string(lane_utilization());
+    return s;
+  }
+};
+
+// How full each issue of one execution unit was relative to what the unit
+// could have done in the same issue. The slot currency is unit-specific
+// (see Profile); slots_used / slots_capacity is always "fraction of the
+// unit's capacity doing useful work".
+struct UnitOccupancy {
+  std::int64_t instrs = 0;           // instructions issued
+  std::int64_t slots_used = 0;       // occupied slots, summed over instrs
+  std::int64_t slots_capacity = 0;   // available slots, summed over instrs
+  std::int64_t saturated_instrs = 0; // instrs issued at full occupancy
+
+  // Mean fraction of the unit's slots doing useful work (0 when idle).
+  double occupancy() const {
+    if (slots_capacity == 0) return 0.0;
+    return static_cast<double>(slots_used) /
+           static_cast<double>(slots_capacity);
+  }
+
+  // Fraction of instructions issued at full occupancy (0 when idle).
+  double saturation() const {
+    if (instrs == 0) return 0.0;
+    return static_cast<double>(saturated_instrs) /
+           static_cast<double>(instrs);
+  }
+};
+
+// Per-unit occupancy of a run, read off its CycleStats (one core's, or a
+// launch's aggregate). This is the paper's Section V evidence in counter
+// form: direct pooling issues Oh*Ow*Kh vector instructions at 16 of 128
+// lanes, the Im2col formulation issues Kh*Kw at 128 of 128 -- `vec`
+// measures exactly that. Slot currencies:
+//
+//   vec     lanes: used = active mask lanes per repeat iteration,
+//           capacity = vector_lanes per repeat iteration; saturated =
+//           full mask.
+//   im2col/ fractals: used = fractals covered, capacity = max_repeat per
+//   col2im  instruction; saturated = instruction carrying max_repeat
+//           fractals (the repeat parameter fully absorbing the loop).
+//   cube    busy cycles: used = fractal-MAC cycles, capacity = charged
+//           cycles including issue overhead (amortization; no
+//           architectural full mark, saturated stays 0).
+//   mte     busy cycles: used = payload bandwidth cycles, capacity =
+//           charged cycles including startup and per-burst costs
+//           (achieved-bandwidth fraction; saturated stays 0).
+//
+// `arch` and `cost` must be the configuration the counters were charged
+// under: they fix the capacity of one issue.
+struct Profile {
+  UnitOccupancy vec;
+  UnitOccupancy im2col;
+  UnitOccupancy col2im;
+  UnitOccupancy cube;
+  UnitOccupancy mte;
+
+  Profile(const CycleStats& s, const ArchConfig& arch, const CostModel& cost)
+      : vec{s.vector_instrs, s.vector_active_lanes,
+            arch.vector_lanes * s.vector_repeats, s.vector_saturated_instrs},
+        im2col{s.im2col_instrs, s.im2col_fractals,
+               arch.max_repeat * s.im2col_instrs, s.im2col_saturated_instrs},
+        col2im{s.col2im_instrs, s.col2im_fractals,
+               arch.max_repeat * s.col2im_instrs, s.col2im_saturated_instrs},
+        cube{s.cube_instrs,
+             s.cube_fractal_macs * cost.cube_cycles_per_fractal_mac,
+             s.cube_cycles, 0},
+        mte{s.mte_transfers, s.mte_payload_cycles, s.mte_cycles, 0} {}
+
+  // The paper's headline metric: mean fraction of the vector lanes doing
+  // useful work per repeat iteration.
+  double vec_lane_utilization() const { return vec.occupancy(); }
+
+  std::string summary() const {
+    auto pct = [](double v) {
+      return std::to_string(static_cast<int>(v * 100.0 + 0.5)) + "%";
+    };
+    std::string s;
+    s += "vec=" + pct(vec.occupancy()) + " (sat " + pct(vec.saturation()) +
+         " of " + std::to_string(vec.instrs) + " instr)";
+    s += " im2col=" + pct(im2col.occupancy());
+    s += " col2im=" + pct(col2im.occupancy());
+    s += " cube=" + pct(cube.occupancy());
+    s += " mte=" + pct(mte.occupancy());
     return s;
   }
 };

@@ -22,10 +22,8 @@
 #include "arch/cost_model.h"
 #include "common/float16.h"
 #include "sim/fault.h"
+#include "sim/ledger.h"
 #include "sim/scratch.h"
-#include "sim/pipe_schedule.h"
-#include "sim/stats.h"
-#include "sim/trace.h"
 
 namespace davinci {
 
@@ -66,11 +64,9 @@ const char* to_string(VecOp op);
 
 class VectorUnit {
  public:
-  VectorUnit(const ArchConfig& arch, const CostModel& cost, CycleStats* stats,
-             Trace* trace = nullptr, Profile* profile = nullptr,
-             PipeScheduler* sched = nullptr)
-      : arch_(arch), cost_(cost), stats_(stats), trace_(trace),
-        profile_(profile), sched_(sched) {}
+  VectorUnit(const ArchConfig& arch, const CostModel& cost,
+             CoreLedger& ledger)
+      : arch_(arch), cost_(cost), ledger_(ledger) {}
 
   // Attaches/detaches the core's fault stream (resilient runs only).
   void set_fault_state(CoreFaultState* fault) { fault_ = fault; }
@@ -109,10 +105,7 @@ class VectorUnit {
 
   const ArchConfig& arch_;
   const CostModel& cost_;
-  CycleStats* stats_;
-  Trace* trace_;
-  Profile* profile_;
-  PipeScheduler* sched_ = nullptr;
+  CoreLedger& ledger_;
   CoreFaultState* fault_ = nullptr;
 };
 

@@ -19,11 +19,12 @@ class CubeTest : public ::testing::Test {
       : l0a_(BufferKind::kL0A, 256 * 1024),
         l0b_(BufferKind::kL0B, 256 * 1024),
         l0c_(BufferKind::kL0C, 1024 * 1024),
-        cube_(arch_, cost_, &stats_) {}
+        cube_(cost_, ledger_) {}
 
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
+  CoreLedger ledger_;
+  const CycleStats& stats_ = ledger_.stats;
   ScratchBuffer l0a_, l0b_, l0c_;
   CubeUnit cube_;
 };

@@ -19,11 +19,12 @@ class Im2colMode0Test : public ::testing::Test {
   Im2colMode0Test()
       : ub_(BufferKind::kUnified, 4 * 1024 * 1024),
         l1_(BufferKind::kL1, 4 * 1024 * 1024),
-        scu_(arch_, cost_, &stats_) {}
+        scu_(arch_, cost_, ledger_) {}
 
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
+  CoreLedger ledger_;
+  const CycleStats& stats_ = ledger_.stats;
   ScratchBuffer ub_, l1_;
   Scu scu_;
 };

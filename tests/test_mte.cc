@@ -18,10 +18,11 @@ class MteTest : public ::testing::Test {
         l1_(BufferKind::kL1, 64 * 1024),
         l0a_(BufferKind::kL0A, 64 * 1024),
         l0c_(BufferKind::kL0C, 64 * 1024),
-        mte_(cost_, &stats_) {}
+        mte_(cost_, ledger_) {}
 
   CostModel cost_;
-  CycleStats stats_;
+  CoreLedger ledger_;
+  const CycleStats& stats_ = ledger_.stats;
   ScratchBuffer ub_, l1_, l0a_, l0c_;
   Mte mte_;
 };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "akg/tiling.h"
+#include "kernels/conv2d.h"
 #include "kernels/pooling.h"
 #include "ref/pooling_ref.h"
 #include "test_util.h"
@@ -236,6 +237,81 @@ TEST(Pipelining, DoubleBufferOffMatchesLegacyCycleCounts) {
   auto rb = run_pool(b, op, PoolInputs{.in = &in});
   EXPECT_EQ(ra.run.device_cycles, rb.run.device_cycles);
   EXPECT_EQ(ra.run.device_cycles_serial, rb.run.device_cycles_serial);
+}
+
+// Every core's pipe timeline and its counters come from the same booking
+// call, so the unit pipes partition the counters exactly: the Vector pipe
+// carries vector and scalar cycles, SCU the Im2Col/Col2Im cycles, the two
+// MTE pipes the transfer cycles and Cube the mmad cycles.
+void expect_pipes_partition_ledger(Device& dev, const Device::RunResult& run,
+                                   const std::string& what) {
+  ASSERT_GT(run.cores_used, 0) << what;
+  for (int c = 0; c < run.cores_used; ++c) {
+    AiCore& core = dev.core(c);
+    const CycleStats& s = core.stats();
+    const PipeScheduler& p = core.sched();
+    EXPECT_EQ(p.busy(Pipe::kVector), s.vector_cycles + s.scalar_cycles)
+        << what << " core " << c;
+    EXPECT_EQ(p.busy(Pipe::kScu), s.scu_cycles) << what << " core " << c;
+    EXPECT_EQ(p.busy(Pipe::kMteIn) + p.busy(Pipe::kMteOut), s.mte_cycles)
+        << what << " core " << c;
+    EXPECT_EQ(p.busy(Pipe::kCube), s.cube_cycles) << what << " core " << c;
+  }
+}
+
+// Every pooling kind with every lowering it accepts on `w`: padding is
+// Im2col-only, AvgPool and the mask forward lower direct or Im2col, and
+// the backward kinds take either merge.
+std::vector<PoolOp> all_pool_ops(const Window2d& w) {
+  const bool padded = w.pt + w.pb + w.pl + w.pr > 0;
+  std::vector<PoolOp> ops;
+  for (PoolOpKind kind : {PoolOpKind::kMaxFwd, PoolOpKind::kMinFwd,
+                          PoolOpKind::kAvgFwd, PoolOpKind::kMaxMaskFwd}) {
+    const bool any_impl =
+        kind == PoolOpKind::kMaxFwd || kind == PoolOpKind::kMinFwd;
+    for (PoolImpl impl : kAllImpls) {
+      if (padded && impl != PoolImpl::kIm2col) continue;
+      if (!any_impl && impl != PoolImpl::kDirect &&
+          impl != PoolImpl::kIm2col) {
+        continue;
+      }
+      ops.push_back({.kind = kind, .window = w, .fwd = impl});
+    }
+  }
+  ops.push_back({.kind = PoolOpKind::kGlobalAvg});
+  for (PoolOpKind kind : {PoolOpKind::kMaxBwd, PoolOpKind::kAvgBwd}) {
+    for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
+      ops.push_back({.kind = kind, .window = w, .merge = merge});
+    }
+  }
+  return ops;
+}
+
+TEST(Pipelining, UnitPipesPartitionTheLedger) {
+  for (bool db : {true, false}) {
+    Device dev;
+    dev.set_double_buffer(db);
+    const std::string mode = db ? "double-buffered " : "serial ";
+    for (const BwdCase& c : kBwdCases) {
+      const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, c.h, c.h, 31);
+      const BwdInputs b = make_bwd_inputs(c, 32);
+      for (const PoolOp& op : all_pool_ops(c.w)) {
+        PoolInputs inputs{.in = &in};
+        if (op.kind == PoolOpKind::kMaxBwd) inputs = b.max_in();
+        if (op.kind == PoolOpKind::kAvgBwd) inputs = b.avg_in();
+        const std::string what =
+            mode + std::to_string(c.h) + " " + op.to_string();
+        expect_pipes_partition_ledger(dev, run_pool(dev, op, inputs).run,
+                                      what);
+      }
+    }
+    const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 20, 20, 33);
+    TensorF32 weights(Shape{32, 32, 3, 3});
+    weights.fill_random_ints(34, -2, 2);
+    expect_pipes_partition_ledger(
+        dev, kernels::conv2d_cube(dev, in, weights, Window2d::pool(3, 1)).run,
+        mode + "conv2d_cube");
+  }
 }
 
 }  // namespace

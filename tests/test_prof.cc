@@ -1,7 +1,8 @@
 // The davinci_prof backend: JSON parsing, report rendering and the
 // regression diff (docs/OBSERVABILITY.md). The diff gates only the
-// lower-is-better cycle metrics; everything else is informational, and
-// host wall-clock is ignored unless explicitly requested.
+// lower-is-better cycle metrics, except that a zero tolerance gates any
+// difference of any field; everything else is informational, and host
+// wall-clock is ignored unless explicitly requested.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -84,7 +85,42 @@ TEST(ProfDiff, FlagsTenPercentCycleRegression) {
 TEST(ProfDiff, ImprovementIsNotARegression) {
   const json::Value base = json::parse(metrics_doc(1000, 5000, 4096));
   const json::Value better = json::parse(metrics_doc(800, 5000, 4096));
-  EXPECT_FALSE(diff_reports(base, better, DiffOptions{}).regressed);
+  const DiffResult r = diff_reports(base, better, DiffOptions{});
+  EXPECT_FALSE(r.regressed);
+  EXPECT_EQ(r.regressions, 0);
+  EXPECT_NE(r.report.find("improved   entries[k].cycles"), std::string::npos);
+}
+
+// Tolerance 0 is an exact gate: a cycle count that falls regresses just
+// like one that rises, and --tol=0 extends that to every non-host field.
+TEST(ProfDiff, ZeroToleranceFailsOnAFall) {
+  const json::Value base = json::parse(metrics_doc(1000, 5000, 4096));
+  const json::Value fewer = json::parse(metrics_doc(999, 5000, 4096));
+  DiffOptions opts;
+  opts.per_metric["cycles"] = 0.0;
+  const DiffResult r = diff_reports(base, fewer, opts);
+  EXPECT_TRUE(r.regressed);
+  EXPECT_EQ(r.regressions, 1);  // cycles_serial stays within 5%
+  EXPECT_NE(r.report.find("REGRESSION entries[k].cycles: 1000 -> 999"),
+            std::string::npos);
+
+  DiffOptions exact;
+  exact.tol = 0.0;
+  const json::Value less_traffic = json::parse(metrics_doc(1000, 5000, 4000));
+  EXPECT_TRUE(diff_reports(base, less_traffic, exact).regressed);
+  // Host fields, and what they nest, stay skipped unless requested.
+  const json::Value faster_host = json::parse(metrics_doc(1000, 4000, 4096));
+  EXPECT_FALSE(diff_reports(base, faster_host, exact).regressed);
+  EXPECT_FALSE(diff_reports(json::parse("{\"host_us\":{\"p50\":1}}"),
+                            json::parse("{\"host_us\":{\"p50\":2}}"), exact)
+                   .regressed);
+  exact.include_host = true;
+  EXPECT_TRUE(diff_reports(base, faster_host, exact).regressed);
+  // A flipped flag is a difference too.
+  const json::Value ok = json::parse("{\"rows\":[{\"verified\":true}]}");
+  const json::Value bad = json::parse("{\"rows\":[{\"verified\":false}]}");
+  EXPECT_TRUE(diff_reports(ok, bad, exact).regressed);
+  EXPECT_FALSE(diff_reports(ok, bad, DiffOptions{}).regressed);
 }
 
 TEST(ProfDiff, HostWallClockSkippedUnlessRequested) {

@@ -18,7 +18,7 @@ class ScuCol2imTest : public ::testing::Test {
   ScuCol2imTest()
       : ub_(BufferKind::kUnified, 4 * 1024 * 1024),
         l1_(BufferKind::kL1, 4 * 1024 * 1024),
-        scu_(arch_, cost_, &stats_) {}
+        scu_(arch_, cost_, ledger_) {}
 
   // Runs Col2Im on an im2col-shaped tensor (n=1, c1=1 slice) and compares
   // against the reference col2im.
@@ -52,7 +52,8 @@ class ScuCol2imTest : public ::testing::Test {
 
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
+  CoreLedger ledger_;
+  const CycleStats& stats_ = ledger_.stats;
   ScratchBuffer ub_, l1_;
   Scu scu_;
 };

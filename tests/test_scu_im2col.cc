@@ -19,7 +19,7 @@ class ScuIm2colTest : public ::testing::Test {
   ScuIm2colTest()
       : ub_(BufferKind::kUnified, 4 * 1024 * 1024),
         l1_(BufferKind::kL1, 4 * 1024 * 1024),
-        scu_(arch_, cost_, &stats_) {}
+        scu_(arch_, cost_, ledger_) {}
 
   // Loads one (n=0, c1=0) slice of `in` through the SCU and compares with
   // the reference im2col.
@@ -50,7 +50,8 @@ class ScuIm2colTest : public ::testing::Test {
 
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
+  CoreLedger ledger_;
+  const CycleStats& stats_ = ledger_.stats;
   ScratchBuffer ub_, l1_;
   Scu scu_;
 };

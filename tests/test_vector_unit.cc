@@ -18,7 +18,8 @@ namespace {
 
 class VectorUnitTest : public ::testing::Test {
  protected:
-  VectorUnitTest() : ub_(BufferKind::kUnified, 64 * 1024), vec_(arch_, cost_, &stats_) {}
+  VectorUnitTest()
+      : ub_(BufferKind::kUnified, 64 * 1024), vec_(arch_, cost_, ledger_) {}
 
   Span<Float16> alloc_filled(std::int64_t n, float v) {
     auto s = ub_.alloc<Float16>(n);
@@ -28,7 +29,8 @@ class VectorUnitTest : public ::testing::Test {
 
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
+  CoreLedger ledger_;
+  const CycleStats& stats_ = ledger_.stats;
   ScratchBuffer ub_;
   VectorUnit vec_;
 };

@@ -98,13 +98,15 @@ akg::PoolImpl parse_impl(const std::string& s) {
 }
 
 void report(const char* what, const Device::RunResult& run, bool show_faults,
-            const ArchConfig& arch) {
+            const Device& dev) {
+  const ArchConfig& arch = dev.arch();
   std::printf("%-14s %10lld cycles  (serial %lld, pipelined bound %lld)\n",
               what, static_cast<long long>(run.device_cycles),
               static_cast<long long>(run.device_cycles_serial),
               static_cast<long long>(run.device_cycles_pipelined));
   std::printf("  %s\n", run.aggregate.summary().c_str());
-  std::printf("  occupancy: %s\n", run.profile.summary().c_str());
+  std::printf("  occupancy: %s\n",
+              Profile(run.aggregate, arch, dev.cost()).summary().c_str());
   const Roofline roof = compute_roofline(run.aggregate, arch,
                                          run.device_cycles, run.cores_used);
   std::printf("  roofline: %s (arith intensity %.3g vs balance %.3g; "
@@ -192,7 +194,7 @@ int main(int argc, char** argv) {
   // --metrics=<path> was given (written after verification below).
   MetricsRegistry metrics;
   auto note = [&](const char* what, const Device::RunResult& run) {
-    report(what, run, injecting, dev.arch());
+    report(what, run, injecting, dev);
     if (!opt.metrics.empty()) metrics.add(what, run, dev.arch());
   };
 

@@ -14,7 +14,9 @@
 //       reported but do not fail. host_* wall-clock fields are ignored
 //       unless --include-host (the simulator is deterministic, the host
 //       machine is not). --tol:<metric>=X overrides the tolerance for one
-//       field name, e.g. --tol:cycles=0 for an exact cycle gate.
+//       field name. A tolerance of 0 is exact: any difference, up or down,
+//       regresses, so --tol:cycles=0 is an exact cycle gate and --tol=0
+//       requires every non-host field to match the baseline.
 //
 // Exit codes: 0 ok / no regression, 1 regression found, 2 usage or parse
 // error. CI diffs every bench run against the committed baselines in
